@@ -3,12 +3,15 @@
 //
 // A ShardSet with 4 shards is kept saturated by a feeder thread pushing
 // large UPDATE batches, so each shard worker spends most of its time
-// inside shard.mu applying tuples. Against that background load the
-// bench issues 256-key query batches three ways:
+// inside shard.mu applying tuples. Beside it runs MutexBaseline, the
+// pre-seqlock design rebuilt here: 4 synopses behind one mutex each,
+// with one writer thread per shard applying sub-batches under that
+// mutex. Against that background load the bench issues 256-key query
+// batches three ways:
 //
-//   mutex/key   the pre-seqlock read path: take shard.mu per key
-//               (ShardSet::EstimateMutexBaseline — the old QUERY_BATCH
-//               inner loop)
+//   mutex/key   the pre-seqlock read path: take the shard mutex per key
+//               (MutexBaseline::Estimate — the old QUERY_BATCH inner
+//               loop)
 //   lockfree/key  the seqlock read path, still resolving the shard per
 //               key (ShardSet::Estimate)
 //   lockfree/batch  the shipped QUERY_BATCH fanout: group keys by shard
@@ -27,6 +30,8 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -104,6 +109,72 @@ void MeasureReads(const std::vector<std::vector<item_t>>& batches,
   }
 }
 
+/// The pre-seqlock serving design: per-shard synopses behind a mutex
+/// each, a writer per shard that holds the mutex while it applies a
+/// sub-batch (the old shard worker), and point reads that take the same
+/// mutex (the old read path).
+class MutexBaseline {
+ public:
+  MutexBaseline(const ShardSetOptions& options,
+                const std::vector<Tuple>& stream) {
+    for (uint32_t i = 0; i < options.num_shards; ++i) {
+      shards_.push_back(std::make_unique<Shard>(
+          MakeASketchCountMin<RelaxedHeapFilter>(options.shard_config)));
+    }
+    for (const Tuple& t : stream) {
+      shards_[net::ShardOf(t.key, options.num_shards)]->stream.push_back(t);
+    }
+  }
+
+  ~MutexBaseline() { StopWriters(); }
+
+  /// Starts one writer per shard, replaying its part of the stream in
+  /// kSubBatch slices until destruction.
+  void StartWriters() {
+    for (auto& shard : shards_) {
+      writers_.emplace_back([this, s = shard.get()] {
+        constexpr size_t kSubBatch = 32768;
+        size_t at = 0;
+        while (!stop_.load(std::memory_order_acquire) &&
+               !s->stream.empty()) {
+          const size_t count = std::min(kSubBatch, s->stream.size() - at);
+          {
+            std::lock_guard<std::mutex> guard(s->mu);
+            s->sketch.UpdateBatch({s->stream.data() + at, count});
+          }
+          at += count;
+          if (at >= s->stream.size()) at = 0;
+        }
+      });
+    }
+  }
+
+  void StopWriters() {
+    stop_.store(true, std::memory_order_release);
+    for (std::thread& writer : writers_) writer.join();
+    writers_.clear();
+  }
+
+  count_t Estimate(item_t key) const {
+    const Shard& shard =
+        *shards_[net::ShardOf(key, static_cast<uint32_t>(shards_.size()))];
+    std::lock_guard<std::mutex> guard(shard.mu);
+    return shard.sketch.Estimate(key);
+  }
+
+ private:
+  struct Shard {
+    explicit Shard(net::ServingSketch s) : sketch(std::move(s)) {}
+    mutable std::mutex mu;
+    net::ServingSketch sketch;
+    std::vector<Tuple> stream;
+  };
+
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::thread> writers_;
+  std::atomic<bool> stop_{false};
+};
+
 int Run() {
   const double scale = ScaleFromEnv();
   ShardSetOptions options;
@@ -136,6 +207,8 @@ int Run() {
               spec.ToString());
 
   ShardSet set(options);
+  MutexBaseline baseline(options, stream);
+  baseline.StartWriters();
   std::atomic<bool> stop{false};
   // Feeder: replays the stream in 128K-tuple UPDATE batches forever;
   // the bounded queues (kInlineApply overload) keep every worker
@@ -153,8 +226,8 @@ int Run() {
   });
   // Let the queues build a deep backlog before measuring: with tens of
   // ~32K-tuple sub-batches queued per shard, a worker that gets CPU
-  // time is almost always inside shard.mu applying one — the regime the
-  // mutex baseline is exposed to.
+  // time is almost always inside shard.mu applying one — the regime
+  // the baseline's writers hold their mutexes in.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
   std::vector<uint64_t> scratch;
@@ -163,7 +236,7 @@ int Run() {
                    [&](const std::vector<item_t>& keys) {
                      uint64_t sum = 0;
                      for (const item_t key : keys) {
-                       sum += set.EstimateMutexBaseline(key);
+                       sum += baseline.Estimate(key);
                      }
                      static volatile uint64_t sink;
                      sink = sum;
@@ -189,6 +262,7 @@ int Run() {
   MeasureReads(batches, iterations, modes);
   stop.store(true, std::memory_order_release);
   feeder.join();
+  baseline.StopWriters();
 
   std::printf("%-16s %12s %12s %14s\n", "read path", "p50 (us)",
               "p95 (us)", "kqueries/s");

@@ -1,11 +1,12 @@
-// Sampled delta-mode ingest (the PR 10 tentpole): NitroSketch-style
-// geometric skip counters on the tail path of the 4-shard loopback
-// ShardSet, sweeping the sampling rate over {1.0, 0.5, 0.25, 0.1,
-// 0.05} on the paper-default zipf-1.1 synthetic workload. Rate 1.0 is
-// the unsampled delta-mode baseline of bench_delta_ingest.
+// Sampled ingest: NitroSketch-style geometric skip counters on the
+// shard owners' tail path (ASketch::MissPositive) of the 4-shard
+// in-process ShardSet, sweeping the sampling rate over {1.0, 0.5, 0.25,
+// 0.1, 0.05} on the paper-default zipf-1.1 synthetic workload. Rate 1.0
+// is the unsampled baseline.
 //
 // Two curves per rate: sustained updates/s (best of three timed
-// passes, delta decode threads feeding UPDATE-frame-sized batches) and
+// passes, decode threads feeding UPDATE-frame-sized batches, each
+// flushed like a server frame) and
 // the tail ARE measured on a fresh single-pass instance (head keys —
 // the merged top-k the filters hold — are excluded, because the head
 // is exact at every rate; only the sampled sketch tail pays error).
@@ -34,7 +35,6 @@ namespace bench {
 namespace {
 
 using net::DeltaIngestState;
-using net::IngestMode;
 using net::ShardSet;
 using net::ShardSetOptions;
 
@@ -43,7 +43,6 @@ constexpr uint32_t kRatesPermille[] = {1000, 500, 250, 100, 50};
 
 ShardSetOptions LoopbackOptions(uint32_t permille) {
   ShardSetOptions options;  // 4 shards — asketchd's default topology
-  options.ingest_mode = IngestMode::kDelta;
   options.sample_rate = permille / 1000.0;
   return options;
 }
@@ -63,8 +62,8 @@ void IngestPass(ShardSet& shards, uint32_t threads,
         const size_t count = std::min(kIngestBatch, end - at);
         shards.Ingest(std::span<const Tuple>(stream.data() + at, count),
                       &state);
+        shards.FlushDeltas(state);
       }
-      shards.FlushDeltas(state);
     });
   }
   for (std::thread& t : decoders) t.join();

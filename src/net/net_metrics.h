@@ -45,18 +45,14 @@ struct NetMetrics {
                                      ///< owners (ASketch::ApplyDelta calls)
   obs::Counter& delta_flushed_tuples;  ///< tuples handed to the owners
                                        ///< inside flushed DeltaBatches
-  obs::Counter& exit_flush_shed;     ///< weight shed while flushing a
-                                     ///< closing connection's deltas
   obs::Counter& replayed_tuples;     ///< tuples received in UPDATE frames
                                      ///< flagged as reconnect replays
-  obs::Counter& sampled_skipped_tuples;  ///< delta-mode tail tuples elided
-                                         ///< by sampling (compensated)
   obs::Gauge& connections;           ///< currently open connections
   obs::Gauge& degraded;              ///< 1 while any shard queue overflowed
   obs::Gauge& sample_rate_permille;  ///< effective tail sampling rate
                                      ///< (1000 = sampling off)
   obs::Histogram& request_ns;        ///< wall time of one non-UPDATE request
-  obs::Histogram& delta_merge_ns;    ///< wall time of one delta fold
+  obs::Histogram& delta_merge_ns;    ///< wall time of one ApplyDelta
   obs::Gauge& queue_depth_idle;      ///< constant-0 shard="none" placeholder
 
   static NetMetrics& Get() {
@@ -82,9 +78,7 @@ struct NetMetrics {
           r.GetCounter("asketch_net_deadline_expired_total"),
           r.GetCounter("asketch_net_delta_merges_total"),
           r.GetCounter("asketch_net_delta_flushed_tuples_total"),
-          r.GetCounter("asketch_net_exit_flush_shed_total"),
           r.GetCounter("asketch_net_replayed_tuples_total"),
-          r.GetCounter("asketch_net_sampled_skipped_tuples_total"),
           r.GetGauge("asketch_net_connections"),
           r.GetGauge("asketch_net_degraded"),
           r.GetGauge("asketch_net_sample_rate_permille"),

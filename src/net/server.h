@@ -3,7 +3,8 @@
 // ShardSet. One OS thread per connection (bounded by max_connections);
 // UPDATE frames are fire-and-forget into the shard queues, so a
 // connection thread's steady-state cost is recv + frame decode + the
-// per-shard split — the sketch work happens on the shard workers.
+// per-shard split with its head aggregation — the filter and sketch
+// work happens on the shard workers.
 //
 // Persistence: when snapshot_prefix is set the server owns a CKP-style
 // SnapshotStore. SNAPSHOT requests, the optional background checkpoint
@@ -98,17 +99,15 @@ class Server {
   void AcceptLoop();
   void HandleConnection(int fd);
   /// Dispatches one decoded frame; returns false when the connection
-  /// must close. `hello_done`, `received`, `shed` and `delta_state`
-  /// are per-connection; under --ingest-mode delta the connection
-  /// thread is the decode thread that owns the delta accumulator, and
-  /// STATS/SNAPSHOT/DIGEST flush it so those barriers cover every
-  /// tuple this connection has sent. `update_scratch` is the
+  /// must close. `hello_done`, `received` and `shed` are
+  /// per-connection; the connection thread is the decode thread whose
+  /// Ingest call splits each UPDATE frame into per-shard deltas and
+  /// queues them all before the next frame. `update_scratch` is the
   /// connection's reusable UPDATE decode buffer: batches are parsed
   /// into it in place, so steady-state ingest does one allocation per
   /// high-water batch size instead of one per frame.
   bool HandleFrame(int fd, const Frame& frame, bool& hello_done,
                    uint64_t& received, uint64_t& shed,
-                   DeltaIngestState& delta_state,
                    std::vector<Tuple>& update_scratch);
   void CheckpointLoop();
 

@@ -277,9 +277,7 @@ std::optional<std::string> CountMin::MergeFrom(const CountMin& other) {
     return "CountMin::MergeFrom: incompatible configs (width/depth/seed "
            "must match)";
   }
-  // Delta-aware fast path: deltas from short epochs leave most source
-  // cells zero; skipping them turns the merge's read-modify-write
-  // stream into a sequential read of `other` plus sparse writes.
+  // Zero source cells are skipped: no store for a no-op add.
   for (size_t i = 0; i < cells_.size(); ++i) {
     const count_t add = other.cells_[i];
     if (add == 0) continue;

@@ -314,34 +314,6 @@ std::optional<std::string> SalsaCountMin::MergeFrom(
   // Per-bucket targets at the *old* layouts: the union stream's count of
   // any key hashed into bucket i is at most Read_this(i) + Read_other(i).
   const size_t cells = static_cast<size_t>(config_.width) * config_.depth;
-  // Delta-aware fast path: deltas from short ingest epochs leave most of
-  // `other`'s buckets zero. Gather only the touched buckets and raise
-  // them in place (EnsureAtLeastLocked merges layouts up as needed) —
-  // no zeroing, no re-raising of the untouched majority. Raising in
-  // place can only leave the layout finer than the full rebuild would,
-  // never a reading below its target, so the one-sided bound is the
-  // same. Dense merges keep the rebuild for its layout compaction.
-  std::vector<std::pair<uint32_t, count_t>> sparse;
-  bool is_sparse = true;
-  for (size_t cell = 0; cell < cells; ++cell) {
-    const count_t add = other.ReadBucket(cell);
-    if (add == 0) continue;
-    const uint64_t sum = static_cast<uint64_t>(ReadBucket(cell)) + add;
-    sparse.emplace_back(static_cast<uint32_t>(cell),
-                        sum > ~count_t{0} ? ~count_t{0}
-                                          : static_cast<count_t>(sum));
-    if (sparse.size() > cells / 4) {
-      is_sparse = false;
-      break;
-    }
-  }
-  if (is_sparse) {
-    SeqWriteSection section(epoch_);
-    for (const auto& [cell, target] : sparse) {
-      EnsureAtLeastLocked(cell, target);
-    }
-    return std::nullopt;
-  }
   std::vector<count_t> targets(cells);
   for (size_t cell = 0; cell < cells; ++cell) {
     const uint64_t sum = static_cast<uint64_t>(ReadBucket(cell)) +

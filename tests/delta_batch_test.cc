@@ -1,11 +1,10 @@
-// Merge laws of the delta-ingest path (src/core/delta_batch.h,
+// The owner law of the ingest path (src/core/delta_batch.h,
 // ASketch::ApplyDelta): a DeltaBatch folded into an owner ASketch must
-// behave like the serial application of the same tuples — bit-identical
-// estimates for CountMin under a stable head, one-sided with bounded
-// inflation for SalsaCountMin (whose bucket-saturating merge reorders
-// saturation) — and stay one-sided under every head-drift race the
-// advisory snapshot allows (eviction of a snapshot member, admission of
-// a tail key).
+// behave like serial UpdateBatch over the same tuples under a stable
+// head — estimates, stats and sketch cells — and stay one-sided under
+// both head-drift races the advisory snapshot allows (eviction of a
+// snapshot member, admission of a non-snapshot key). A cold filter
+// learns the hot set from the misses alone.
 
 #include <cstdint>
 #include <vector>
@@ -86,26 +85,11 @@ TEST(DeltaBatchTest, SingleHeadKeyAggregatesExactly) {
     serial.Update(3, 5);
     delta.Add(3, 5);
   }
-  EXPECT_EQ(delta.head_weight(), 5000u);
-  EXPECT_EQ(delta.tail_weight(), 0u);
+  EXPECT_EQ(delta.weight(), 5000u);
+  EXPECT_TRUE(delta.misses().empty());
   ASSERT_FALSE(merged.ApplyDelta(delta).has_value());
   EXPECT_EQ(merged.Estimate(3), serial.Estimate(3));
   EXPECT_EQ(merged.stats().filtered_weight, serial.stats().filtered_weight);
-}
-
-/// A snapshot-only delta (first-touch claiming disabled) against the
-/// given sketch's filter contents — the routing the head-drift tests
-/// below need to pin: every non-snapshot key goes to the tail sketch.
-template <typename SketchT>
-DeltaBatch<SketchT> SnapshotOnlyDelta(
-    const ASketch<RelaxedHeapFilter, SketchT>& sketch) {
-  std::vector<FilterEntry> entries;
-  sketch.filter().SnapshotEntries(&entries);
-  std::vector<item_t> keys;
-  for (const FilterEntry& e : entries) keys.push_back(e.key);
-  return DeltaBatch<SketchT>(keys, SketchT(sketch.sketch().config()),
-                             sketch.filter().capacity(),
-                             /*head_slots=*/0);
 }
 
 TEST(DeltaBatchTest, SingleTailKeyLandsInTheSketch) {
@@ -113,127 +97,77 @@ TEST(DeltaBatchTest, SingleTailKeyLandsInTheSketch) {
   auto merged = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
   WarmHead(serial);
   WarmHead(merged);
-  DeltaBatch<CountMin> delta = SnapshotOnlyDelta(merged);
+  DeltaBatch<CountMin> delta = merged.MakeDeltaBatch();
   const item_t key = kFilterItems + 7;
   serial.Update(key, 42);
   delta.Add(key, 42);
-  EXPECT_EQ(delta.tail_weight(), 42u);
+  ASSERT_EQ(delta.misses().size(), 1u);
   ASSERT_FALSE(merged.ApplyDelta(delta).has_value());
   EXPECT_EQ(merged.Estimate(key), serial.Estimate(key));
   EXPECT_EQ(merged.stats().sketch_weight, serial.stats().sketch_weight);
   EXPECT_EQ(merged.stats().sketch_updates, serial.stats().sketch_updates);
 }
 
-// With claiming enabled (the default), a repeating non-filter key takes
-// a free head slot on first touch and aggregates exactly: no tail mass,
-// one owner-side sketch update carrying the whole epoch aggregate —
-// identical cell sums to serial ingest under the plain CountMin policy.
-TEST(DeltaBatchTest, FirstTouchClaimAggregatesExactly) {
+// A cold filter has an empty head snapshot, so every tuple is a miss;
+// UpdateBatch's free-slot admission and exchanges fill the filter with
+// the hot keys, each admitted with exact slack (new = W, old = 0).
+TEST(DeltaBatchTest, ColdFilterLearnsHotKeysFromMisses) {
   auto serial = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
   auto merged = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
-  WarmHead(serial);
-  WarmHead(merged);
+  const std::vector<Tuple> stream = MixedStream(19);
+  serial.UpdateBatch(stream);
   DeltaBatch<CountMin> delta = merged.MakeDeltaBatch();
-  const item_t key = kFilterItems + 7;
-  for (int i = 0; i < 100; ++i) {
-    serial.Update(key, 3);
-    delta.Add(key, 3);
-  }
-  EXPECT_EQ(delta.head_weight(), 300u);
-  EXPECT_EQ(delta.tail_weight(), 0u) << "claim did not aggregate";
+  for (const Tuple& t : stream) delta.Add(t.key, t.value);
+  EXPECT_EQ(delta.misses().size(), stream.size());
   ASSERT_FALSE(merged.ApplyDelta(delta).has_value());
-  EXPECT_EQ(merged.Estimate(key), serial.Estimate(key));
-  EXPECT_EQ(merged.stats().sketch_weight, serial.stats().sketch_weight);
-  // One aggregate update replaced 100 per-arrival updates.
-  EXPECT_EQ(merged.stats().sketch_updates, 1u);
-  for (uint32_t row = 0; row < merged.sketch().width(); ++row) {
-    EXPECT_EQ(merged.sketch().RowSum(row), serial.sketch().RowSum(row));
-  }
+  ASSERT_TRUE(merged.filter().Full());
+  EXPECT_GT(merged.stats().exchanges, 0u);
+  BinaryWriter serial_bytes;
+  BinaryWriter merged_bytes;
+  ASSERT_TRUE(serial.SerializeTo(serial_bytes));
+  ASSERT_TRUE(merged.SerializeTo(merged_bytes));
+  EXPECT_EQ(merged_bytes.buffer(), serial_bytes.buffer());
 }
 
-// A claimed key that finds a free filter slot at apply time is admitted
-// with its exact epoch aggregate as (new = W, old = 0): the mass never
-// touched the sketch, so the full W is eviction-writeback slack.
-TEST(DeltaBatchTest, ClaimedKeyAdmittedToFreeSlotKeepsExactSlack) {
-  auto sketch = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
-  ASSERT_FALSE(sketch.filter().Full());
-  DeltaBatch<CountMin> delta = sketch.MakeDeltaBatch();
-  delta.Add(777, 29);
-  EXPECT_EQ(delta.tail_weight(), 0u);
-  ASSERT_FALSE(sketch.ApplyDelta(delta).has_value());
-  const int32_t slot = sketch.filter().Find(777);
-  ASSERT_GE(slot, 0) << "claimed key should warm the cold filter";
-  EXPECT_EQ(sketch.filter().NewCount(slot), 29u);
-  EXPECT_EQ(sketch.filter().OldCount(slot), 0u);
-  EXPECT_EQ(sketch.Estimate(777), 29u);
-}
-
-// The tentpole's equivalence bar: with a stable head, delta-merge ingest
-// over CountMin is indistinguishable from serial per-tuple ingest —
-// estimate-for-estimate over the whole domain, stat-for-stat, and
-// cell-mass-for-cell-mass per sketch row.
-TEST(DeltaBatchTest, StableHeadCountMinMatchesSerialApplyBitForBit) {
-  auto serial = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
-  auto merged = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
+// The equivalence bar, for both backends: with a stable head, applying
+// a delta is indistinguishable from serial UpdateBatch — estimate for
+// estimate over the whole domain, stat for stat, and byte for byte in
+// the sketch cells.
+template <typename SketchT, typename MakeFn>
+void ExpectStableHeadMatchesSerial(MakeFn make) {
+  auto serial = make(SmallConfig());
+  auto merged = make(SmallConfig());
   WarmHead(serial);
   WarmHead(merged);
   const std::vector<Tuple> stream = MixedStream(17);
-  for (const Tuple& t : stream) {
-    serial.Update(t.key, static_cast<delta_t>(t.value));
-  }
-  DeltaBatch<CountMin> delta = merged.MakeDeltaBatch();
-  delta.AddBatch(stream);
+  serial.UpdateBatch(stream);
+  DeltaBatch<SketchT> delta = merged.MakeDeltaBatch();
+  for (const Tuple& t : stream) delta.Add(t.key, t.value);
   ASSERT_FALSE(merged.ApplyDelta(delta).has_value());
 
   EXPECT_EQ(serial.stats().exchanges, 0u) << "stable-head premise broken";
+  EXPECT_EQ(merged.stats().exchanges, 0u);
   EXPECT_EQ(merged.stats().filtered_weight, serial.stats().filtered_weight);
   EXPECT_EQ(merged.stats().sketch_weight, serial.stats().sketch_weight);
-  // First-touch claims turn per-arrival tail updates into one aggregate
-  // update per claimed key, so the delta side performs FEWER update
-  // operations for the same cell mass (checked row-for-row below).
-  EXPECT_LE(merged.stats().sketch_updates, serial.stats().sketch_updates);
-  EXPECT_EQ(merged.stats().exchanges, serial.stats().exchanges);
-  for (uint32_t row = 0; row < merged.sketch().width(); ++row) {
-    EXPECT_EQ(merged.sketch().RowSum(row), serial.sketch().RowSum(row));
-  }
+  EXPECT_EQ(merged.stats().sketch_updates, serial.stats().sketch_updates);
+  BinaryWriter serial_cells;
+  BinaryWriter merged_cells;
+  ASSERT_TRUE(serial.sketch().SerializeTo(serial_cells));
+  ASSERT_TRUE(merged.sketch().SerializeTo(merged_cells));
+  EXPECT_EQ(merged_cells.buffer(), serial_cells.buffer());
   for (item_t key = 0; key < kDomain; ++key) {
     ASSERT_EQ(merged.Estimate(key), serial.Estimate(key)) << "key " << key;
   }
 }
 
-// SalsaCountMin's MergeFrom raises each bucket to at least the sum of
-// both readings, so delta-merge reorders bucket saturation: estimates
-// stay one-sided but may inflate relative to serial ingest. The test
-// pins both properties — never below truth, inflation within a small
-// multiple of the serial backend's own error.
-TEST(DeltaBatchTest, SalsaDeltaMergeIsOneSidedWithBoundedInflation) {
-  auto serial = MakeASketchSalsa<RelaxedHeapFilter>(SmallConfig());
-  auto merged = MakeASketchSalsa<RelaxedHeapFilter>(SmallConfig());
-  WarmHead(serial);
-  WarmHead(merged);
-  ExactCounter truth(kDomain);
-  for (item_t key = 0; key < kFilterItems; ++key) truth.Update(key, 1 << 20);
-  const std::vector<Tuple> stream = MixedStream(23);
-  for (const Tuple& t : stream) {
-    truth.Update(t.key, static_cast<delta_t>(t.value));
-    serial.Update(t.key, static_cast<delta_t>(t.value));
-  }
-  DeltaBatch<SalsaCountMin> delta = merged.MakeDeltaBatch();
-  delta.AddBatch(stream);
-  ASSERT_FALSE(merged.ApplyDelta(delta).has_value());
+TEST(DeltaBatchTest, StableHeadCountMinMatchesSerialApplyBitForBit) {
+  ExpectStableHeadMatchesSerial<CountMin>(
+      MakeASketchCountMin<RelaxedHeapFilter>);
+}
 
-  uint64_t serial_error = 0;
-  uint64_t merged_error = 0;
-  for (item_t key = 0; key < kDomain; ++key) {
-    const wide_count_t exact = truth.Count(key);
-    ASSERT_GE(merged.Estimate(key), exact) << "key " << key;
-    serial_error += serial.Estimate(key) - exact;
-    merged_error += merged.Estimate(key) - exact;
-  }
-  // Bounded inflation: the reordered saturation may cost accuracy, but
-  // not more than a small multiple of the serial error (plus slack for
-  // a serial run that happens to be near-exact).
-  EXPECT_LE(merged_error, 4 * serial_error + 64 * kDomain);
+TEST(DeltaBatchTest, StableHeadSalsaMatchesSerialApplyBitForBit) {
+  ExpectStableHeadMatchesSerial<SalsaCountMin>(
+      MakeASketchSalsa<RelaxedHeapFilter>);
 }
 
 // Head drift race 1: a key in the delta's head snapshot is evicted by
@@ -248,8 +182,8 @@ TEST(DeltaBatchTest, EvictionDuringMergeStaysOneSided) {
     truth.Update(key, 3);
   }
   DeltaBatch<CountMin> delta = sketch.MakeDeltaBatch();
-  ASSERT_TRUE(delta.HeadContains(2));
   delta.Add(2, 10);
+  ASSERT_TRUE(delta.misses().empty()) << "key 2 should be a head key";
   truth.Update(2, 10);
   // Heavy traffic on fresh keys evicts (at least some of) the original
   // head while the delta is open.
@@ -268,44 +202,29 @@ TEST(DeltaBatchTest, EvictionDuringMergeStaysOneSided) {
   }
 }
 
-// Head drift race 2: a key that was tail at epoch start becomes
-// filter-resident before the delta lands. Its tail mass merges into
-// sketch cells while queries answer from the filter — the inflation
-// pass must raise the filter entry so the answer stays one-sided.
-TEST(DeltaBatchTest, LateFilterAdmissionGetsInflated) {
+// Head drift race 2: a key that was not in the snapshot becomes
+// filter-resident before the delta lands. Its tuples wait in the miss
+// list and meet the live filter inside UpdateBatch, so they join its
+// exact counter instead of the sketch.
+TEST(DeltaBatchTest, LateFilterAdmissionAbsorbsMissesExactly) {
   auto sketch = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
-  // Leave the filter with exactly one free slot, then open the epoch.
+  // Leave the filter with exactly one free slot, then open the delta.
   for (item_t key = 0; key + 1 < kFilterItems; ++key) {
     sketch.Update(key, 1 << 20);
   }
   ASSERT_FALSE(sketch.filter().Full());
-  DeltaBatch<CountMin> delta = SnapshotOnlyDelta(sketch);
+  DeltaBatch<CountMin> delta = sketch.MakeDeltaBatch();
   const item_t late = 777;
-  ASSERT_FALSE(delta.HeadContains(late));
-  delta.Add(late, 25);  // tail mass, headed for the sketch cells
-  sketch.Update(late, 4);  // admitted to the free slot mid-epoch
+  delta.Add(late, 25);
+  ASSERT_EQ(delta.misses().size(), 1u);
+  sketch.Update(late, 4);  // admitted to the free slot mid-delta
   ASSERT_GE(sketch.filter().Find(late), 0);
   ASSERT_FALSE(sketch.ApplyDelta(delta).has_value());
-  // 29 true occurrences; the filter must answer at least that.
-  EXPECT_GE(sketch.Estimate(late), 29u);
-  // The raise went into both counters: the exact slack (new - old) must
-  // still be the 4 filter-era hits, not the sketch-held 25.
   const int32_t slot = sketch.filter().Find(late);
   ASSERT_GE(slot, 0);
-  EXPECT_EQ(sketch.filter().NewCount(slot) - sketch.filter().OldCount(slot),
-            4u);
-}
-
-// Deltas carry their backend's sketch geometry; folding a delta built
-// from a differently-shaped sketch must fail cleanly, not corrupt.
-TEST(DeltaBatchTest, GeometryMismatchIsRejected) {
-  auto sketch = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
-  ASketchConfig other_config = SmallConfig();
-  other_config.total_bytes = 16 * 1024;
-  auto other = MakeASketchCountMin<RelaxedHeapFilter>(other_config);
-  DeltaBatch<CountMin> delta = other.MakeDeltaBatch();
-  delta.Add(1, 1);
-  EXPECT_TRUE(sketch.ApplyDelta(delta).has_value());
+  EXPECT_EQ(sketch.filter().NewCount(slot), 29u);
+  EXPECT_EQ(sketch.filter().OldCount(slot), 0u);
+  EXPECT_EQ(sketch.Estimate(late), 29u);
 }
 
 }  // namespace

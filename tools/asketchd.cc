@@ -4,8 +4,7 @@
 //            [--bytes B] [--width W]
 //            [--filter F] [--seed S] [--prefix PFX] [--retain R]
 //            [--recover] [--checkpoint-interval-ms MS]
-//            [--metrics-port MP] [--ingest-mode queue|delta]
-//            [--queue-batches Q] [--delta-flush-tuples T]
+//            [--metrics-port MP] [--queue-batches Q]
 //            [--overload inline|shed] [--sample-rate R]
 //            [--adaptive-sampling] [--max-connections C]
 //            [--idle-timeout-ms MS]
@@ -20,7 +19,9 @@
 //
 // Signals: SIGINT/SIGTERM stop gracefully (drain + final checkpoint);
 // SIGUSR1 cuts a checkpoint without stopping. Handlers only set flags;
-// all work happens on the main thread.
+// all work happens on the main thread. They are installed before the
+// server starts, so a signal sent as soon as the listening line appears
+// still stops it gracefully.
 //
 // Exit codes: 2 usage error, 1 runtime failure, 0 clean shutdown.
 
@@ -58,8 +59,7 @@ int Usage() {
       "                [--sketch countmin|salsa] [--bytes B] [--width W]\n"
       "                [--filter F] [--seed S]\n"
       "                [--max-connections C] [--idle-timeout-ms MS]\n"
-      "                [--ingest-mode queue|delta] [--queue-batches Q]\n"
-      "                [--delta-flush-tuples T] [--overload inline|shed]\n"
+      "                [--queue-batches Q] [--overload inline|shed]\n"
       "                [--sample-rate R] [--adaptive-sampling]\n"
       "                [--prefix PFX] [--retain R] [--recover]\n"
       "                [--checkpoint-interval-ms MS] [--metrics-port MP]\n"
@@ -81,13 +81,8 @@ int Usage() {
       "                      (default 0 = never; slow-loris defense)\n"
       "\n"
       "ingest:\n"
-      "  --ingest-mode MODE  queue (default; serial per-tuple replay)\n"
-      "                      or delta (per-connection delta sketches\n"
-      "                      merged at epoch boundaries)\n"
       "  --queue-batches Q   bounded per-shard queue length (default "
       "64)\n"
-      "  --delta-flush-tuples T  delta epoch length in tuples "
-      "(default 8192)\n"
       "  --overload POLICY   inline (default) or shed\n"
       "  --sample-rate R     tail-update sampling rate in (0, 1]\n"
       "                      (default 1.0 = every update; below 1.0 the\n"
@@ -185,19 +180,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue-batches") {
       if (!ParseU64(value(), &n) || n < 1) return Usage();
       options.shards.max_queue_batches = n;
-    } else if (arg == "--ingest-mode") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      if (std::strcmp(v, "queue") == 0) {
-        options.shards.ingest_mode = net::IngestMode::kQueue;
-      } else if (std::strcmp(v, "delta") == 0) {
-        options.shards.ingest_mode = net::IngestMode::kDelta;
-      } else {
-        return Usage();
-      }
-    } else if (arg == "--delta-flush-tuples") {
-      if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
-      options.shards.delta_flush_tuples = static_cast<uint32_t>(n);
     } else if (arg == "--sample-rate") {
       const char* v = value();
       if (v == nullptr || *v == '\0') return Usage();
@@ -233,6 +215,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad configuration: %s\n", error->c_str());
     return Usage();
   }
+
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+#ifdef SIGUSR1
+  std::signal(SIGUSR1, HandleCheckpointSignal);
+#endif
 
   net::Server server(options);
   if (auto error = server.Start()) {
@@ -295,12 +283,6 @@ int main(int argc, char** argv) {
   std::printf("asketchd listening on 127.0.0.1:%u (%u shards)\n",
               server.port(), server.shards().num_shards());
   std::fflush(stdout);
-
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-#ifdef SIGUSR1
-  std::signal(SIGUSR1, HandleCheckpointSignal);
-#endif
 
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
