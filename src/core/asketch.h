@@ -85,6 +85,9 @@ struct ASketchStats {
   /// weight still counts in sketch_weight — the scaled survivors carry
   /// it in expectation. Not serialized (the "ASK1" layout predates it).
   uint64_t sampled_skips = 0;
+  /// Sketch insertions ApplyDelta's known-miss block path applied
+  /// (ALGORITHMS.md §7); a subset of sketch_updates. Not serialized.
+  uint64_t block_updates = 0;
 
   /// N2 / N, the fraction of stream weight the sketch had to process.
   double FilterSelectivity() const {
@@ -176,106 +179,7 @@ class ASketch {
   /// keeps the walk exactly equivalent to Algorithm 1. Tuple weights are
   /// unsigned; zero-weight tuples are skipped like Update(key, 0).
   void UpdateBatch(std::span<const Tuple> tuples) {
-    ASKETCH_TRACE_SPAN("asketch_update_batch");
-    ASKETCH_TELEMETRY_ONLY(
-        const auto telemetry_start = std::chrono::steady_clock::now();)
-    SyncTailSampler();
-    constexpr size_t kChunk = 16;
-    static_assert(kChunk <= kMaxProbeBatch);
-    // Backends exposing the prepared-update API (PrepareUpdateBatch +
-    // UpdateAndEstimateAt) hash a whole chunk's misses in one vectorized
-    // pass at prefetch time; others fall back to a plain per-key
-    // Prefetch if they have one.
-    constexpr bool kPrepared =
-        requires(SketchT& s, const item_t* k, uint32_t* b, delta_t d) {
-          s.PrepareUpdateBatch(k, size_t{1}, b);
-          s.UpdateAndEstimateAt(b, d, size_t{1});
-        };
-    item_t keys[kChunk];
-    int32_t slots[kChunk];
-    item_t miss_keys[kChunk];
-    int8_t miss_index[kChunk];
-    uint32_t rows = 0;
-    std::vector<uint32_t> buckets;
-    if constexpr (kPrepared) {
-      rows = sketch_.width();
-      buckets.resize(kChunk * rows);
-    }
-    const size_t n = tuples.size();
-    for (size_t begin = 0; begin < n; begin += kChunk) {
-      const size_t count = std::min(kChunk, n - begin);
-      for (size_t i = 0; i < count; ++i) keys[i] = tuples[begin + i].key;
-      if constexpr (requires(const FilterT& f) {
-                      f.FindBatch(keys, count, slots);
-                    }) {
-        filter_.FindBatch(keys, count, slots);
-      } else {
-        for (size_t i = 0; i < count; ++i) slots[i] = filter_.Find(keys[i]);
-      }
-      // Hash (and, for out-of-cache sketches, warm) the sketch rows of
-      // the probed misses before the in-order walk reaches them; hits
-      // never touch the sketch.
-      size_t miss_count = 0;
-      if constexpr (kPrepared) {
-        // Branchless compaction — the hit/miss mix is data-dependent and
-        // a conditional append mispredicts on every boundary.
-        for (size_t i = 0; i < count; ++i) {
-          const bool miss = slots[i] < 0;
-          miss_keys[miss_count] = keys[i];
-          miss_index[i] = miss ? static_cast<int8_t>(miss_count)
-                               : static_cast<int8_t>(-1);
-          miss_count += miss;
-        }
-        sketch_.PrepareUpdateBatch(miss_keys, miss_count, buckets.data());
-      } else if constexpr (requires(const SketchT& s, item_t k) {
-                             s.Prefetch(k);
-                           }) {
-        for (size_t i = 0; i < count; ++i) {
-          if (slots[i] < 0) sketch_.Prefetch(keys[i]);
-        }
-      }
-      bool slots_valid = true;
-      for (size_t i = 0; i < count; ++i) {
-        const delta_t delta = static_cast<delta_t>(tuples[begin + i].value);
-        if (delta == 0) continue;
-        const int32_t slot =
-            slots_valid ? slots[i] : filter_.Find(keys[i]);
-        if (slot >= 0) {
-          filter_.AddToNewCount(slot, delta);
-          stats_.filtered_weight += static_cast<wide_count_t>(delta);
-          ASKETCH_TELEMETRY_ONLY(
-              pending_.filtered_weight += static_cast<uint64_t>(delta);)
-          if constexpr (requires { FilterT::HitInvalidatesSlots(slot); }) {
-            if (FilterT::HitInvalidatesSlots(slot)) slots_valid = false;
-          } else {
-            slots_valid = false;
-          }
-          continue;
-        }
-        // Buckets were prepared iff the original probe reported a miss;
-        // they stay valid across filter mutations (they depend only on
-        // the sketch's hash seeds, not on filter state). Row-major
-        // layout: the key's column starts at its miss index with the
-        // chunk's miss count as the stride.
-        const uint32_t* prepared = nullptr;
-        if constexpr (kPrepared) {
-          if (miss_index[i] >= 0) {
-            prepared = &buckets[static_cast<size_t>(miss_index[i])];
-          }
-        }
-        if (MissPositive(keys[i], delta, prepared, miss_count)) {
-          slots_valid = false;
-        }
-      }
-    }
-    ASKETCH_TELEMETRY_ONLY({
-      PublishTelemetry();
-      obs::IngestMetrics::Get().update_batch_ns.Record(
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - telemetry_start)
-                  .count()));
-    })
+    IngestBatch(tuples, /*known_misses=*/false);
   }
 
   /// Algorithm 2: filter hit answers exactly from new_count; otherwise the
@@ -474,13 +378,19 @@ class ASketch {
   ///      insert and the normal exchange test). The total is never
   ///      sampled: the tuples were head hits when they arrived.
   ///   2. The misses run through UpdateBatch in arrival order, where the
-  ///      tail sampler applies per tuple.
+  ///      tail sampler applies per tuple. When the live filter still
+  ///      holds exactly the head snapshot, every miss is a known miss:
+  ///      on a full filter with the sampler off, Count-Min builds first
+  ///      apply them as blocks (ApplyKnownMisses) with no filter probe
+  ///      and no per-tuple walk, up to the first block that might win
+  ///      an exchange.
   ///
   /// Every tuple reaches the filter or the sketch exactly once through
   /// Algorithm 1's own steps, so estimates stay one-sided for every
   /// backend. Under a stable head (no exchange either way) the state
   /// equals UpdateBatch over the same tuples: head hits only raise
   /// exact counters, and the misses meet the sketch in the same order.
+  /// The block path leaves the same state as the walk it skips.
   /// Always returns nullopt.
   std::optional<std::string> ApplyDelta(DeltaBatch<SketchT>& delta) {
     if (delta.Empty()) return std::nullopt;
@@ -500,7 +410,9 @@ class ASketch {
                      /*sample=*/false);
       }
     });
-    UpdateBatch(delta.misses());
+    bool known_misses = false;
+    if constexpr (kKnownMissBlocks) known_misses = HeadUnchanged(delta);
+    IngestBatch(delta.misses(), known_misses);
     return std::nullopt;
   }
 
@@ -610,6 +522,182 @@ class ASketch {
                 }
                 return a.key < b.key;
               });
+  }
+
+  /// Whether the sketch backend has the known-miss block kernel
+  /// (CountMin::UpdateBatchBounded on an AVX-512 build).
+  static constexpr bool kKnownMissBlocks =
+      requires(SketchT& s, std::span<const Tuple> t, uint64_t bound) {
+        { s.UpdateBatchBounded(t, bound) } -> std::same_as<size_t>;
+        requires SketchT::kBlockKernel;
+      };
+
+  /// UpdateBatch's body, shared with ApplyDelta's miss step.
+  /// `known_misses` promises that no tuple's key is filter-resident;
+  /// with a full filter and the sampler off, a prefix of the tuples
+  /// then goes through ApplyKnownMisses and the rest through the walk.
+  void IngestBatch(std::span<const Tuple> tuples, bool known_misses) {
+    ASKETCH_TRACE_SPAN("asketch_update_batch");
+    ASKETCH_TELEMETRY_ONLY(
+        const auto telemetry_start = std::chrono::steady_clock::now();)
+    SyncTailSampler();
+    if constexpr (kKnownMissBlocks) {
+      if (known_misses && filter_.Full() && !tail_sampler_.active()) {
+        tuples = tuples.subspan(ApplyKnownMisses(tuples));
+      }
+    } else {
+      (void)known_misses;
+    }
+    WalkBatch(tuples);
+    ASKETCH_TELEMETRY_ONLY({
+      PublishTelemetry();
+      obs::IngestMetrics::Get().update_batch_ns.Record(
+          static_cast<uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - telemetry_start)
+                  .count()));
+    })
+  }
+
+  /// Whether the live filter holds exactly the delta's head snapshot:
+  /// equal sizes and every resident key in the snapshot (one head-table
+  /// probe per filter slot). Keys absent from the snapshot — the
+  /// delta's misses — are then absent from the filter too.
+  bool HeadUnchanged(const ShardDelta& delta) const {
+    if (filter_.size() != delta.head_size()) return false;
+    bool unchanged = true;
+    filter_.ForEach([&](const FilterEntry& e) {
+      unchanged &= delta.HeadContains(e.key);
+    });
+    return unchanged;
+  }
+
+  /// Known-miss block path (ALGORITHMS.md §7 step 2). Every tuple's key
+  /// is absent from a full filter and the sampler is off, so Algorithm 1
+  /// would send each one straight to the sketch and then test it for an
+  /// exchange. The sketch applies the tuples in blocks as long as every
+  /// key's estimate after its block is bounded by the filter minimum
+  /// (CountMin::UpdateBatchBounded). Estimates only grow within a block,
+  /// so no tuple of such a block can win an exchange, the filter does
+  /// not change,
+  /// and saturating adds of unsigned weights commute per cell, so the
+  /// state matches the walk's bit for bit. The first block that might
+  /// exchange is left, with everything after it, to WalkBatch. Returns
+  /// the number of tuples applied.
+  size_t ApplyKnownMisses(std::span<const Tuple> tuples)
+    requires kKnownMissBlocks
+  {
+    const uint64_t bound =
+        enable_exchanges_ ? uint64_t{filter_.MinNewCount()}
+                          : SketchT::kUnbounded;
+    const size_t applied = sketch_.UpdateBatchBounded(tuples, bound);
+    wide_count_t weight = 0;
+    uint64_t updates = 0;
+    for (const Tuple& t : tuples.first(applied)) {
+      weight += t.value;
+      updates += t.value != 0;  // the walk skips zero weights
+    }
+    stats_.sketch_weight += weight;
+    stats_.sketch_updates += updates;
+    stats_.block_updates += updates;
+    ASKETCH_TELEMETRY_ONLY({
+      pending_.sketch_weight += weight;
+      pending_.sketch_updates += updates;
+    })
+    return applied;
+  }
+
+  /// Algorithm 1 over a batch, tuple by tuple in stream order (the
+  /// chunked probe/prepare/walk UpdateBatch documents).
+  void WalkBatch(std::span<const Tuple> tuples) {
+    constexpr size_t kChunk = 16;
+    static_assert(kChunk <= kMaxProbeBatch);
+    // Backends exposing the prepared-update API (PrepareUpdateBatch +
+    // UpdateAndEstimateAt) hash a whole chunk's misses in one vectorized
+    // pass at prefetch time; others fall back to a plain per-key
+    // Prefetch if they have one.
+    constexpr bool kPrepared =
+        requires(SketchT& s, const item_t* k, uint32_t* b, delta_t d) {
+          s.PrepareUpdateBatch(k, size_t{1}, b);
+          s.UpdateAndEstimateAt(b, d, size_t{1});
+        };
+    item_t keys[kChunk];
+    int32_t slots[kChunk];
+    item_t miss_keys[kChunk];
+    int8_t miss_index[kChunk];
+    uint32_t rows = 0;
+    std::vector<uint32_t> buckets;
+    if constexpr (kPrepared) {
+      rows = sketch_.width();
+      buckets.resize(kChunk * rows);
+    }
+    const size_t n = tuples.size();
+    for (size_t begin = 0; begin < n; begin += kChunk) {
+      const size_t count = std::min(kChunk, n - begin);
+      for (size_t i = 0; i < count; ++i) keys[i] = tuples[begin + i].key;
+      if constexpr (requires(const FilterT& f) {
+                      f.FindBatch(keys, count, slots);
+                    }) {
+        filter_.FindBatch(keys, count, slots);
+      } else {
+        for (size_t i = 0; i < count; ++i) slots[i] = filter_.Find(keys[i]);
+      }
+      // Hash (and, for out-of-cache sketches, warm) the sketch rows of
+      // the probed misses before the in-order walk reaches them; hits
+      // never touch the sketch.
+      size_t miss_count = 0;
+      if constexpr (kPrepared) {
+        // Branchless compaction — the hit/miss mix is data-dependent and
+        // a conditional append mispredicts on every boundary.
+        for (size_t i = 0; i < count; ++i) {
+          const bool miss = slots[i] < 0;
+          miss_keys[miss_count] = keys[i];
+          miss_index[i] = miss ? static_cast<int8_t>(miss_count)
+                               : static_cast<int8_t>(-1);
+          miss_count += miss;
+        }
+        sketch_.PrepareUpdateBatch(miss_keys, miss_count, buckets.data());
+      } else if constexpr (requires(const SketchT& s, item_t k) {
+                             s.Prefetch(k);
+                           }) {
+        for (size_t i = 0; i < count; ++i) {
+          if (slots[i] < 0) sketch_.Prefetch(keys[i]);
+        }
+      }
+      bool slots_valid = true;
+      for (size_t i = 0; i < count; ++i) {
+        const delta_t delta = static_cast<delta_t>(tuples[begin + i].value);
+        if (delta == 0) continue;
+        const int32_t slot =
+            slots_valid ? slots[i] : filter_.Find(keys[i]);
+        if (slot >= 0) {
+          filter_.AddToNewCount(slot, delta);
+          stats_.filtered_weight += static_cast<wide_count_t>(delta);
+          ASKETCH_TELEMETRY_ONLY(
+              pending_.filtered_weight += static_cast<uint64_t>(delta);)
+          if constexpr (requires { FilterT::HitInvalidatesSlots(slot); }) {
+            if (FilterT::HitInvalidatesSlots(slot)) slots_valid = false;
+          } else {
+            slots_valid = false;
+          }
+          continue;
+        }
+        // Buckets were prepared iff the original probe reported a miss;
+        // they stay valid across filter mutations (they depend only on
+        // the sketch's hash seeds, not on filter state). Row-major
+        // layout: the key's column starts at its miss index with the
+        // chunk's miss count as the stride.
+        const uint32_t* prepared = nullptr;
+        if constexpr (kPrepared) {
+          if (miss_index[i] >= 0) {
+            prepared = &buckets[static_cast<size_t>(miss_index[i])];
+          }
+        }
+        if (MissPositive(keys[i], delta, prepared, miss_count)) {
+          slots_valid = false;
+        }
+      }
+    }
   }
 
   void UpdatePositive(item_t key, delta_t delta) {

@@ -19,7 +19,10 @@
 // (a head total whose key was evicted takes the miss path; a miss whose
 // key was admitted hits the filter inside UpdateBatch), and since a key
 // never splits between the two halves, every tuple reaches the filter
-// or the sketch exactly once.
+// or the sketch exactly once. When the live filter still holds exactly
+// the snapshot (head_size, HeadContains), no miss can hit it, and the
+// owner may apply the misses as blocks without probing (ALGORITHMS.md
+// §7, known-miss block path).
 
 #ifndef ASKETCH_CORE_DELTA_BATCH_H_
 #define ASKETCH_CORE_DELTA_BATCH_H_
@@ -54,6 +57,7 @@ class ShardDelta {
     shift_ = 64 - bits;
     for (const item_t key : head_keys) {
       Slot& slot = ProbeSlot(key);
+      head_size_ += !slot.used;
       slot.used = true;
       slot.key = key;
     }
@@ -82,6 +86,13 @@ class ShardDelta {
     }
   }
 
+  /// Number of distinct keys in the head snapshot.
+  size_t head_size() const { return head_size_; }
+  /// Whether `key` is in the head snapshot.
+  bool HeadContains(item_t key) const {
+    return slots_[SlotIndex(key)].used;
+  }
+
   /// The non-head tuples, in arrival order.
   std::span<const Tuple> misses() const { return misses_; }
 
@@ -103,19 +114,21 @@ class ShardDelta {
   /// Linear probe to `key`'s slot or the first free one. Fibonacci
   /// hashing takes the product's high bits: the shard router keys on the
   /// low bits of a multiplicative hash, so low bits would cluster.
-  Slot& ProbeSlot(item_t key) {
+  size_t SlotIndex(item_t key) const {
     const size_t mask = slots_.size() - 1;
     size_t index = static_cast<size_t>(
         (uint64_t{key} * 0x9e3779b97f4a7c15ull) >> shift_);
     for (;;) {
-      Slot& slot = slots_[index];
-      if (!slot.used || slot.key == key) return slot;
+      const Slot& slot = slots_[index];
+      if (!slot.used || slot.key == key) return index;
       index = (index + 1) & mask;
     }
   }
+  Slot& ProbeSlot(item_t key) { return slots_[SlotIndex(key)]; }
 
   std::vector<Slot> slots_;
   uint32_t shift_ = 64;
+  size_t head_size_ = 0;
   std::vector<Tuple> misses_;
   uint64_t tuple_count_ = 0;
   uint64_t weight_ = 0;

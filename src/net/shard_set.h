@@ -11,10 +11,11 @@
 // other tuple is kept as a miss. A flushed delta is one work item on a
 // bounded per-shard queue; the shard's owner worker folds it in with
 // ASketch::ApplyDelta (head totals re-probed, then the misses through
-// UpdateBatch). Decode threads never touch shard state, so the
-// single-writer seqlock invariant holds by construction. When a queue
-// stays full past the bounded wait, the pipeline overload policy
-// applies (reusing OverloadPolicy from pipeline_asketch.h): kInlineApply
+// UpdateBatch, or as sketch blocks while the head is unchanged). Decode
+// threads never touch shard state, so the single-writer seqlock
+// invariant holds by construction. When a queue stays full past the
+// bounded wait, the pipeline overload policy applies (reusing
+// OverloadPolicy from pipeline_asketch.h): kInlineApply
 // applies the delta on the caller thread under the shard mutex
 // (one-sided guarantee intact, caller pays the cycles), kShed drops it
 // and accounts the weight. Both paths are reported through NetMetrics

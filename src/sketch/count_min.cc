@@ -1,9 +1,10 @@
 #include "src/sketch/count_min.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
-#if defined(__AVX2__)
+#if defined(__AVX512F__) && defined(__AVX512CD__)
 #include <immintrin.h>
 #endif
 
@@ -149,38 +150,20 @@ count_t CountMin::UpdateAndEstimate(item_t key, delta_t delta) {
 }
 
 void CountMin::UpdateBatch(std::span<const Tuple> tuples) {
-  // Chunked two-phase ingestion: hash a whole chunk with the vectorized
-  // multi-key kernel (and prefetch every addressed cell), then apply the
-  // updates against warm lines. Each tuple is hashed exactly once; the
-  // chunk bound keeps the prefetches close enough that the lines are
-  // still resident when their update executes.
-  //
-  // Plain policy on AVX2 builds: the apply phase runs row-major through
-  // ApplyPreparedAvx2 — gather 8 cells, add 8 deltas, saturate, store.
-  // Bit-identical to the scalar tuple-major walk (see the UpdateBatch
-  // doc comment in count_min.h for the order-independence argument).
+  if (config_.policy == CmUpdatePolicy::kPlain) {
+    UpdateBatchBounded(tuples, kUnbounded);
+    return;
+  }
+  // Conservative policy: hash a chunk in one vector pass, then walk it
+  // in order (each update reads the cells the previous one wrote).
   constexpr size_t kChunk = 16;
   const size_t n = tuples.size();
-  const uint32_t w = config_.width;
-  std::vector<uint32_t> buckets(kChunk * w);
+  std::vector<uint32_t> buckets(kChunk * config_.width);
   item_t keys[kChunk];
-#if defined(__AVX2__)
-  const bool vectorize = config_.policy == CmUpdatePolicy::kPlain;
-  alignas(32) uint32_t values[kChunk];
-#endif
   for (size_t begin = 0; begin < n; begin += kChunk) {
     const size_t count = std::min(kChunk, n - begin);
     for (size_t i = 0; i < count; ++i) keys[i] = tuples[begin + i].key;
     PrepareUpdateBatch(keys, count, buckets.data());
-#if defined(__AVX2__)
-    if (vectorize) {
-      for (size_t i = 0; i < count; ++i) {
-        values[i] = tuples[begin + i].value;
-      }
-      ApplyPreparedAvx2(buckets.data(), values, count);
-      continue;
-    }
-#endif
     for (size_t i = 0; i < count; ++i) {
       UpdateAt(&buckets[i], static_cast<delta_t>(tuples[begin + i].value),
                count);
@@ -188,67 +171,168 @@ void CountMin::UpdateBatch(std::span<const Tuple> tuples) {
   }
 }
 
-#if defined(__AVX2__)
-void CountMin::ApplyPreparedAvx2(const uint32_t* buckets,
-                                 const uint32_t* values, size_t count) {
-  // Row-major prepared layout: row r's bucket indices for the chunk are
-  // contiguous at buckets[r*count .. r*count+count). Per 8-lane group:
-  // gather the cells, add the deltas, emulate unsigned saturation
-  // (overflowed lanes — where max_epu32(sum, cell) != sum — become
-  // all-ones), store lanewise. AVX2 has no scatter, and a gather+store
-  // group would lose increments if two lanes hit the same cell, so any
-  // intra-group index collision (detected by OR-ing lane-equality over
-  // the 7 nontrivial rotations) drops that group to the scalar loop.
-  const __m256i rotate1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  const __m256i ones = _mm256_set1_epi32(-1);
-  for (uint32_t row = 0; row < config_.width; ++row) {
-    count_t* base = &cells_[static_cast<size_t>(row) * config_.depth];
-    const uint32_t* idx = buckets + static_cast<size_t>(row) * count;
-    size_t k = 0;
-    for (; k + 8 <= count; k += 8) {
-      const __m256i lanes =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
-      __m256i conflict = _mm256_setzero_si256();
-      __m256i rot = lanes;
-      for (int r = 0; r < 7; ++r) {
-        rot = _mm256_permutevar8x32_epi32(rot, rotate1);
-        conflict =
-            _mm256_or_si256(conflict, _mm256_cmpeq_epi32(lanes, rot));
-      }
-      if (_mm256_movemask_epi8(conflict) != 0) [[unlikely]] {
-        for (size_t j = k; j < k + 8; ++j) {
-          count_t& cell = base[idx[j]];
-          RelaxedStore(cell, SaturatingAdd(
-                                 cell, static_cast<delta_t>(values[j])));
-        }
-        continue;
-      }
-      // Gathers are plain reads of our own cells — the updater is the
-      // single writer, concurrent readers never store (count_min.cc top
-      // comment), so only the stores need to be atomic.
-      const __m256i cells = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(base), lanes, 4);
-      const __m256i vals =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + k));
-      const __m256i sum = _mm256_add_epi32(cells, vals);
-      const __m256i no_overflow =
-          _mm256_cmpeq_epi32(_mm256_max_epu32(sum, cells), sum);
-      const __m256i result =
-          _mm256_or_si256(sum, _mm256_andnot_si256(no_overflow, ones));
-      alignas(32) uint32_t out[8];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(out), result);
-      for (size_t j = 0; j < 8; ++j) {
-        RelaxedStore(base[idx[k + j]], out[j]);
-      }
+size_t CountMin::UpdateBatchBounded(std::span<const Tuple> tuples,
+                                    uint64_t max_estimate) {
+  if (config_.policy != CmUpdatePolicy::kPlain ||
+      (max_estimate != kUnbounded && config_.width > kBlockMaxWidth)) {
+    return 0;
+  }
+  // Hash a 64-key chunk in one vector pass (prefetching the cells of
+  // out-of-cache sketches), then apply it block by block. Row-major
+  // buckets: row r's indices for the chunk sit at buckets[r*count ..).
+  constexpr size_t kChunk = 4 * kBlockKeys;
+  const size_t n = tuples.size();
+  item_t keys[kChunk];
+  alignas(64) uint32_t values[kChunk];
+  alignas(64) uint32_t buckets[kChunk * CountMinConfig::kMaxWidth];
+  for (size_t begin = 0; begin < n; begin += kChunk) {
+    const size_t count = std::min(kChunk, n - begin);
+    for (size_t i = 0; i < count; ++i) {
+      keys[i] = tuples[begin + i].key;
+      values[i] = tuples[begin + i].value;
     }
-    for (; k < count; ++k) {
-      count_t& cell = base[idx[k]];
-      RelaxedStore(cell,
-                   SaturatingAdd(cell, static_cast<delta_t>(values[k])));
+    PrepareUpdateBatch(keys, count, buckets);
+    for (size_t block = 0; block < count; block += kBlockKeys) {
+      if (!ApplyBlock(buckets + block, count, values + block,
+                      std::min(kBlockKeys, count - block), max_estimate)) {
+        return begin + block;
+      }
     }
   }
+  return n;
 }
-#endif  // defined(__AVX2__)
+
+bool CountMin::ApplyBlockScalar(const uint32_t* buckets, size_t stride,
+                                const uint32_t* values, size_t live,
+                                uint64_t max_estimate) {
+  if (max_estimate != kUnbounded) {
+    uint64_t weight = 0;
+    count_t worst = 0;
+    for (size_t j = 0; j < live; ++j) {
+      weight += values[j];
+      count_t est = std::numeric_limits<count_t>::max();
+      for (uint32_t row = 0; row < config_.width; ++row) {
+        est = std::min(est, Cell(row, buckets[row * stride + j]));
+      }
+      worst = std::max(worst, est);
+    }
+    if (worst + weight > max_estimate) return false;
+  }
+  for (size_t j = 0; j < live; ++j) {
+    UpdateAt(&buckets[j], static_cast<delta_t>(values[j]), stride);
+  }
+  return true;
+}
+
+#if defined(__AVX512F__) && defined(__AVX512CD__)
+namespace {
+
+/// Lanewise unsigned saturating add: a wrapped sum lands below `a`.
+__m512i AddSaturating(__m512i a, __m512i b) {
+  const __m512i sum = _mm512_add_epi32(a, b);
+  return _mm512_mask_mov_epi32(sum, _mm512_cmplt_epu32_mask(sum, a),
+                               _mm512_set1_epi32(-1));
+}
+
+}  // namespace
+
+bool CountMin::ApplyBlock(const uint32_t* buckets, size_t stride,
+                          const uint32_t* values, size_t live,
+                          uint64_t max_estimate) {
+  // Gathers take signed 32-bit indices.
+  if (config_.depth > static_cast<uint32_t>(INT32_MAX)) [[unlikely]] {
+    return ApplyBlockScalar(buckets, stride, values, live, max_estimate);
+  }
+  // Masked loads and gathers cover a short final block; the masked-off
+  // lanes read nothing and add nothing.
+  const __mmask16 lanes = static_cast<__mmask16>((1u << live) - 1);
+  const __m512i vals = _mm512_maskz_loadu_epi32(lanes, values);
+  const __m512i lane_bits = _mm512_set1_epi32(lanes);
+  // vpconflictd gives each lane a bitmask of the earlier lanes holding
+  // the same bucket. A gather + store over a repeated bucket would lose
+  // one of the adds, so such a row is applied lane by lane.
+  const auto row_conflicts = [&](__m512i idx) {
+    return _mm512_mask_test_epi32_mask(lanes, _mm512_conflict_epi32(idx),
+                                       lane_bits) != 0;
+  };
+  const auto add_lanes = [&](count_t* base, const uint32_t* idx_row) {
+    for (size_t j = 0; j < live; ++j) {
+      count_t& cell = base[idx_row[j]];
+      RelaxedStore(cell, SaturatingAdd(cell, static_cast<delta_t>(values[j])));
+    }
+  };
+  const auto store_lanes = [&](count_t* base, const uint32_t* idx_row,
+                               __m512i result) {
+    alignas(64) uint32_t out[kBlockKeys];
+    _mm512_store_si512(out, result);
+    for (size_t j = 0; j < live; ++j) RelaxedStore(base[idx_row[j]], out[j]);
+  };
+  // Gathers are plain reads of our own cells — the updater is the
+  // single writer, concurrent readers never store (top comment), so
+  // only the stores need to be atomic.
+  if (max_estimate == kUnbounded) {
+    for (uint32_t row = 0; row < config_.width; ++row) {
+      count_t* base = &Cell(row, 0);
+      const uint32_t* idx_row = buckets + row * stride;
+      const __m512i idx = _mm512_maskz_loadu_epi32(lanes, idx_row);
+      if (row_conflicts(idx)) [[unlikely]] {
+        add_lanes(base, idx_row);
+        continue;
+      }
+      const __m512i cells = _mm512_mask_i32gather_epi32(
+          _mm512_setzero_si512(), lanes, idx, base, 4);
+      store_lanes(base, idx_row, AddSaturating(cells, vals));
+    }
+    return true;
+  }
+  // Bounded: compute every row's result before storing any. A row with
+  // no repeated bucket ends the block at exactly cell + weight per lane;
+  // any other row ends at most at cell + the block's total weight. The
+  // min over rows of those bounds every key's estimate after the block,
+  // and so every estimate the walk would test inside it.
+  uint64_t weight = 0;
+  for (size_t j = 0; j < live; ++j) weight += values[j];
+  const __m512i block_weight = _mm512_set1_epi32(static_cast<int>(
+      std::min<uint64_t>(weight, std::numeric_limits<count_t>::max())));
+  __m512i results[kBlockMaxWidth];
+  uint32_t conflicted = 0;  // bit r: row r has a repeated bucket
+  __m512i est = _mm512_set1_epi32(-1);
+  for (uint32_t row = 0; row < config_.width; ++row) {
+    const __m512i idx =
+        _mm512_maskz_loadu_epi32(lanes, buckets + row * stride);
+    const __m512i cells = _mm512_mask_i32gather_epi32(
+        _mm512_setzero_si512(), lanes, idx, &Cell(row, 0), 4);
+    results[row] = AddSaturating(cells, vals);
+    __m512i bound = results[row];
+    if (row_conflicts(idx)) [[unlikely]] {
+      conflicted |= 1u << row;
+      bound = AddSaturating(cells, block_weight);
+    }
+    est = _mm512_mask_min_epu32(est, lanes, est, bound);
+  }
+  alignas(64) uint32_t est_lanes[kBlockKeys];
+  _mm512_store_si512(est_lanes, est);
+  count_t worst = 0;
+  for (size_t j = 0; j < live; ++j) worst = std::max(worst, est_lanes[j]);
+  if (worst > max_estimate) return false;
+  for (uint32_t row = 0; row < config_.width; ++row) {
+    count_t* base = &Cell(row, 0);
+    const uint32_t* idx_row = buckets + row * stride;
+    if ((conflicted >> row) & 1) [[unlikely]] {
+      add_lanes(base, idx_row);
+    } else {
+      store_lanes(base, idx_row, results[row]);
+    }
+  }
+  return true;
+}
+#else
+bool CountMin::ApplyBlock(const uint32_t* buckets, size_t stride,
+                          const uint32_t* values, size_t live,
+                          uint64_t max_estimate) {
+  return ApplyBlockScalar(buckets, stride, values, live, max_estimate);
+}
+#endif  // defined(__AVX512F__) && defined(__AVX512CD__)
 
 count_t CountMin::Estimate(item_t key) const {
   count_t est = std::numeric_limits<count_t>::max();

@@ -161,16 +161,55 @@ class CountMin {
                               size_t stride = 1);
 
   /// Applies the tuples (bit-identical to the equivalent sequence of
-  /// Update calls), prefetching a few tuples ahead. Under the plain
-  /// policy the counter writes are vectorized with AVX2 gathers on
-  /// builds that have them: row-major prepared buckets make each row's
-  /// chunk indices contiguous, and per-cell saturating addition of
-  /// unsigned deltas is order-independent (final cell = min(2^32-1,
-  /// initial + Σdeltas)), so the row-major application order — with a
-  /// scalar fallback for any 8-lane group whose indices collide — stays
-  /// bit-identical to the scalar tuple-major walk. The conservative
-  /// policy is order-dependent and always takes the scalar path.
+  /// Update calls). Under the plain policy this is UpdateBatchBounded
+  /// with an unbounded estimate; the conservative policy is
+  /// order-dependent and walks the tuples one by one.
   void UpdateBatch(std::span<const Tuple> tuples);
+
+  /// Tuples per block of UpdateBatchBounded: one AVX-512 register of
+  /// 32-bit lanes.
+  static constexpr size_t kBlockKeys = 16;
+  /// Largest width a bounded UpdateBatchBounded accepts: it stages one
+  /// register of cells per row while it checks the bound.
+  static constexpr uint32_t kBlockMaxWidth = 16;
+  /// UpdateBatchBounded's `max_estimate` that never stops a block.
+  static constexpr uint64_t kUnbounded = ~uint64_t{0};
+  /// Whether UpdateBatchBounded runs its vector kernel (AVX-512F + CD
+  /// builds). The scalar form is kept for other builds and for rows
+  /// deeper than a signed 32-bit gather index reaches.
+  static constexpr bool kBlockKernel =
+#if defined(__AVX512F__) && defined(__AVX512CD__)
+      true;
+#else
+      false;
+#endif
+
+  /// Applies tuples in blocks of kBlockKeys, in order, under the plain
+  /// policy. Before a block is applied, each of its keys gets an upper
+  /// bound on its estimate after the block: the min over rows of the
+  /// row's final cell, where a row whose block buckets are all distinct
+  /// ends at exactly cell + the key's weight, and any other row (every
+  /// row in the scalar form) at most at cell + the block's total
+  /// weight. The first block where some key's bound exceeds
+  /// `max_estimate` is left unapplied, and so is everything after it.
+  /// Cells only grow, so every estimate a key of an applied block
+  /// passes through is at most `max_estimate` — ASketch uses this to
+  /// prove that no tuple of the block could have won a filter exchange.
+  /// Returns the number of tuples applied (a multiple of kBlockKeys, or
+  /// tuples.size()). Applies nothing and returns 0 under the
+  /// conservative policy, or when a finite bound meets a width above
+  /// kBlockMaxWidth.
+  ///
+  /// The kernel hashes 64 keys per PrepareUpdateBatch call. Per block
+  /// and row it gathers 16 cells, adds 16 weights with unsigned
+  /// saturation and stores the lanes back. A row where two of the
+  /// block's keys share a bucket (vpconflictd) is applied lane by lane.
+  /// Per-cell saturating addition of unsigned weights is
+  /// order-independent (final cell = min(2^32-1, initial + Σ weights)),
+  /// so the row-major order leaves the same cells as the tuple-major
+  /// walk of Update calls.
+  size_t UpdateBatchBounded(std::span<const Tuple> tuples,
+                            uint64_t max_estimate);
 
   /// Clears all cells; hash functions are kept.
   void Reset();
@@ -240,11 +279,16 @@ class CountMin {
   std::string Name() const { return "CountMin"; }
 
  private:
-  /// AVX2 apply loop for UpdateBatch's plain-policy path: per row,
-  /// gathers 8 cells, adds 8 deltas with saturation, stores lanewise.
-  /// Only defined (and called) on __AVX2__ builds.
-  void ApplyPreparedAvx2(const uint32_t* buckets, const uint32_t* values,
-                         size_t count);
+  /// One block of UpdateBatchBounded: `live` (<= kBlockKeys) keys whose
+  /// row r buckets are buckets[r*stride + j] and whose weights are
+  /// values[j]. Returns false, with nothing applied, when the bound
+  /// fails.
+  bool ApplyBlock(const uint32_t* buckets, size_t stride,
+                  const uint32_t* values, size_t live,
+                  uint64_t max_estimate);
+  bool ApplyBlockScalar(const uint32_t* buckets, size_t stride,
+                        const uint32_t* values, size_t live,
+                        uint64_t max_estimate);
 
   /// madvise(MADV_HUGEPAGE) on the cell array when it is large enough
   /// to profit (ctor + deserialize; see src/common/hugepage.h).

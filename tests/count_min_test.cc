@@ -221,6 +221,91 @@ TEST(CountMinTest, UpdateAndEstimateConservativePolicy) {
   }
 }
 
+/// Tuples over `domain` keys whose weights mix small values, zeros and
+/// values near 2^32 (so cells saturate).
+std::vector<Tuple> MixedWeightTuples(size_t n, uint32_t domain,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tuple> tuples;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t pick = rng.NextBounded(100);
+    count_t weight = 1 + static_cast<count_t>(rng.NextBounded(9));
+    if (pick < 5) weight = 0;
+    if (pick >= 98) weight = ~count_t{0} - static_cast<count_t>(pick);
+    tuples.push_back(
+        Tuple{static_cast<item_t>(rng.NextBounded(domain)), weight});
+  }
+  return tuples;
+}
+
+std::vector<uint8_t> CellBytes(const CountMin& sketch) {
+  BinaryWriter writer;
+  EXPECT_TRUE(sketch.SerializeTo(writer));
+  return writer.buffer();
+}
+
+// UpdateBatch runs the block kernel (16-key blocks, a per-row conflict
+// fallback, saturating lanes); its cells must equal the Update loop's.
+// A 13-cell row makes repeated buckets inside a block common, the
+// large weights saturate cells, and the lengths leave partial blocks.
+TEST(CountMinTest, UpdateBatchMatchesUpdateLoop) {
+  for (const uint32_t width : {1u, 8u, 16u, 20u}) {
+    for (const uint32_t depth : {13u, 4096u}) {
+      for (const size_t n : {size_t{1}, size_t{37}, size_t{5000}}) {
+        const std::vector<Tuple> tuples =
+            MixedWeightTuples(n, 3000, width * 1000 + depth + n);
+        CountMin batch(SmallConfig(width, depth, 7));
+        CountMin loop(SmallConfig(width, depth, 7));
+        batch.UpdateBatch(tuples);
+        for (const Tuple& t : tuples) loop.Update(t.key, t.value);
+        ASSERT_EQ(CellBytes(batch), CellBytes(loop))
+            << "width " << width << " depth " << depth << " n " << n;
+      }
+    }
+  }
+}
+
+// The bounded kernel applies whole blocks and stops at the first block
+// in which some key's estimate might pass the bound: the applied
+// prefix leaves the Update loop's cells, and replaying that prefix
+// tuple by tuple never shows an estimate above the bound.
+TEST(CountMinTest, UpdateBatchBoundedStopsBeforeTheBound) {
+  for (const uint32_t width : {4u, 8u, 16u}) {
+    std::vector<Tuple> tuples;
+    Rng rng(width);
+    for (int i = 0; i < 4000; ++i) {
+      tuples.push_back(Tuple{static_cast<item_t>(rng.NextBounded(500)),
+                             1 + static_cast<count_t>(rng.NextBounded(3))});
+    }
+    constexpr uint64_t kBound = 60;  // above any first block's weight
+    CountMin bounded(SmallConfig(width, 64, 3));
+    const size_t applied = bounded.UpdateBatchBounded(tuples, kBound);
+    ASSERT_GT(applied, 0u);
+    ASSERT_LT(applied, tuples.size()) << "the bound never bit";
+    EXPECT_EQ(applied % CountMin::kBlockKeys, 0u);
+    CountMin loop(SmallConfig(width, 64, 3));
+    for (size_t i = 0; i < applied; ++i) {
+      ASSERT_LE(loop.UpdateAndEstimate(tuples[i].key, tuples[i].value),
+                kBound)
+          << "tuple " << i;
+    }
+    EXPECT_EQ(CellBytes(bounded), CellBytes(loop)) << "width " << width;
+  }
+}
+
+TEST(CountMinTest, UpdateBatchBoundedDeclinesWhatItCannotBound) {
+  const std::vector<Tuple> tuples = MixedWeightTuples(100, 1000, 5);
+  CountMin wide(SmallConfig(CountMin::kBlockMaxWidth + 1, 256));
+  EXPECT_EQ(wide.UpdateBatchBounded(tuples, 1000), 0u);
+  EXPECT_EQ(wide.UpdateBatchBounded(tuples, CountMin::kUnbounded),
+            tuples.size());
+  CountMinConfig conservative = SmallConfig(4, 256);
+  conservative.policy = CmUpdatePolicy::kConservative;
+  CountMin cons(conservative);
+  EXPECT_EQ(cons.UpdateBatchBounded(tuples, CountMin::kUnbounded), 0u);
+  EXPECT_EQ(CellBytes(cons), CellBytes(CountMin(conservative)));
+}
+
 TEST(CountMinTest, AdoptFromCarriesUpdatePolicy) {
   // AdoptFrom copies the donor's update policy along with its cells: a
   // --recover-style re-adoption of a conservative-policy snapshot into a

@@ -4,9 +4,13 @@
 // head — estimates, stats and sketch cells — and stay one-sided under
 // both head-drift races the advisory snapshot allows (eviction of a
 // snapshot member, admission of a non-snapshot key). A cold filter
-// learns the hot set from the misses alone.
+// learns the hot set from the misses alone. The known-miss block path
+// (ApplyDelta on a full, unchanged head with the sampler off) must leave
+// the state the walk leaves, byte for byte, and every case it must not
+// take or must leave early is pinned.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,6 +229,226 @@ TEST(DeltaBatchTest, LateFilterAdmissionAbsorbsMissesExactly) {
   EXPECT_EQ(sketch.filter().NewCount(slot), 29u);
   EXPECT_EQ(sketch.filter().OldCount(slot), 0u);
   EXPECT_EQ(sketch.Estimate(late), 29u);
+}
+
+// ---------------------------------------------------------------------
+// Known-miss block path. The reference is ApplyDelta's walk spelled
+// with public calls: each head total through Update (a resident key
+// aggregates, an evicted one takes the miss path; with the sampler off
+// that is exactly ApplyDelta's first step), then the misses through
+// UpdateBatch. Both owners start equal, so each delta's head snapshot
+// holds for both.
+
+using Owner = ASketch<RelaxedHeapFilter, CountMin>;
+
+void ApplyByWalk(Owner& owner, const ShardDelta& delta) {
+  delta.ForEachHead([&](item_t key, uint64_t weight) {
+    owner.Update(key, static_cast<delta_t>(weight));
+  });
+  owner.UpdateBatch(delta.misses());
+}
+
+/// Feeds `stream` in `delta_tuples`-tuple deltas: to `block` through
+/// ApplyDelta, to `walk` through ApplyByWalk. Returns the sketch
+/// insertions `block` took through the block path.
+uint64_t FeedBoth(Owner& block, Owner& walk, std::span<const Tuple> stream,
+                  size_t delta_tuples = 2048) {
+  const uint64_t before = block.stats().block_updates;
+  for (size_t begin = 0; begin < stream.size(); begin += delta_tuples) {
+    const size_t end = std::min(stream.size(), begin + delta_tuples);
+    ShardDelta delta = block.MakeDeltaBatch();
+    for (size_t i = begin; i < end; ++i) {
+      delta.Add(stream[i].key, stream[i].value);
+    }
+    ApplyByWalk(walk, delta);
+    EXPECT_FALSE(block.ApplyDelta(delta).has_value());
+  }
+  return block.stats().block_updates - before;
+}
+
+/// Serialized filter, sketch and stats, plus the unserialized
+/// sampled_skips, must match.
+void ExpectSameState(const Owner& block, const Owner& walk) {
+  BinaryWriter block_bytes;
+  BinaryWriter walk_bytes;
+  ASSERT_TRUE(block.SerializeTo(block_bytes));
+  ASSERT_TRUE(walk.SerializeTo(walk_bytes));
+  EXPECT_EQ(block_bytes.buffer(), walk_bytes.buffer());
+  EXPECT_EQ(block.stats().sampled_skips, walk.stats().sampled_skips);
+}
+
+ASketchConfig BlockConfig(uint32_t width) {
+  ASketchConfig config;
+  config.total_bytes = 64 * 1024;
+  config.width = width;
+  config.filter_items = 32;
+  config.seed = 5;
+  return config;
+}
+
+/// A Zipf stream with mixed weights: mostly 1-13, some zeros, and a few
+/// at or above 2^31 so cells and filter counters saturate.
+std::vector<Tuple> MixedWeightStream(double skew, uint64_t seed) {
+  StreamSpec spec;
+  spec.stream_size = 60000;
+  spec.num_distinct = 1u << 16;
+  spec.skew = skew;
+  spec.seed = seed;
+  std::vector<Tuple> stream = GenerateStream(spec);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].value = 1 + static_cast<count_t>(i * 7919 % 13);
+    if (i % 97 == 0) stream[i].value = 0;
+    if (i % 20011 == 5) {
+      stream[i].value = 0x80000000u + static_cast<count_t>(i);
+    }
+  }
+  return stream;
+}
+
+TEST(DeltaBatchBlockPathTest, MatchesWalkAcrossSkewsWeightsAndWidths) {
+  for (const double skew : {0.0, 0.8, 1.1, 1.5}) {
+    for (const uint32_t width : {4u, 8u, 20u}) {
+      SCOPED_TRACE(testing::Message() << "skew " << skew << " width "
+                                      << width);
+      Owner block = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(width));
+      Owner walk = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(width));
+      const uint64_t blocked =
+          FeedBoth(block, walk, MixedWeightStream(skew, 31));
+      ExpectSameState(block, walk);
+      if (CountMin::kBlockKernel && width <= CountMin::kBlockMaxWidth &&
+          skew > 0.0) {
+        EXPECT_GT(blocked, 0u) << "the block path never ran";
+      }
+      if (width > CountMin::kBlockMaxWidth) {
+        EXPECT_EQ(blocked, 0u);
+      }
+    }
+  }
+}
+
+// Free filter slots: a miss may be admitted, so the misses are not
+// known misses even though the head matches the snapshot.
+TEST(DeltaBatchBlockPathTest, FilterNotFullTakesTheWalk) {
+  Owner block = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  Owner walk = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  for (item_t key = 0; key < 5; ++key) {
+    block.Update(key, 1 << 20);
+    walk.Update(key, 1 << 20);
+  }
+  std::vector<Tuple> misses;
+  for (item_t key = 100; key < 2100; ++key) misses.push_back(Tuple{key, 1});
+  EXPECT_EQ(FeedBoth(block, walk, misses, misses.size()), 0u);
+  EXPECT_TRUE(block.filter().Full());
+  ExpectSameState(block, walk);
+}
+
+// The tail sampler draws per miss inside the walk; the block path
+// would skip the draws.
+TEST(DeltaBatchBlockPathTest, ActiveSamplerTakesTheWalk) {
+  Owner block = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  Owner walk = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  for (Owner* owner : {&block, &walk}) {
+    for (item_t key = 0; key < 32; ++key) owner->Update(key, 1 << 24);
+    owner->SetTailSamplePermille(500);
+    owner->SeedTailSampler(77);
+  }
+  std::vector<Tuple> stream = MixedWeightStream(1.1, 3);
+  for (Tuple& t : stream) t.key += 32;  // the head keys stay untouched
+  EXPECT_EQ(FeedBoth(block, walk, stream), 0u);
+  EXPECT_GT(block.stats().sampled_skips, 0u);
+  ExpectSameState(block, walk);
+}
+
+// An exchange after the delta opened admits one of its miss keys: those
+// tuples are filter hits now, so the stale snapshot must send the
+// misses through the walk.
+TEST(DeltaBatchBlockPathTest, StaleSnapshotTakesTheWalk) {
+  Owner block = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  Owner walk = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  for (Owner* owner : {&block, &walk}) {
+    for (item_t key = 0; key < 32; ++key) owner->Update(key, 3);
+  }
+  const item_t late = 5000;
+  ShardDelta delta = block.MakeDeltaBatch();
+  for (item_t key = 100; key < 2100; ++key) {
+    delta.Add(key, 1);
+    delta.Add(late, 2);
+  }
+  for (Owner* owner : {&block, &walk}) owner->Update(late, 100);
+  ASSERT_GE(block.filter().Find(late), 0) << "exchange premise broken";
+  ApplyByWalk(walk, delta);
+  ASSERT_FALSE(block.ApplyDelta(delta).has_value());
+  EXPECT_EQ(block.stats().block_updates, 0u);
+  ExpectSameState(block, walk);
+  EXPECT_EQ(block.Estimate(late), walk.Estimate(late));
+}
+
+// The last free slot is taken after the delta opened: the filter is
+// full, the admitted key's tuples wait among the misses, and its empty
+// sketch cells would pass any block bound. Only the membership check
+// stands between those tuples and the sketch.
+TEST(DeltaBatchBlockPathTest, LateFreeSlotAdmissionTakesTheWalk) {
+  Owner block = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  Owner walk = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  for (Owner* owner : {&block, &walk}) {
+    for (item_t key = 0; key < 31; ++key) owner->Update(key, 1 << 20);
+  }
+  const item_t late = 5000;
+  ShardDelta delta = block.MakeDeltaBatch();
+  for (item_t key = 100; key < 2100; ++key) delta.Add(key, 1);
+  delta.Add(late, 1);
+  for (Owner* owner : {&block, &walk}) owner->Update(late, 4);
+  ASSERT_TRUE(block.filter().Full());
+  ApplyByWalk(walk, delta);
+  ASSERT_FALSE(block.ApplyDelta(delta).has_value());
+  EXPECT_EQ(block.stats().block_updates, 0u);
+  ExpectSameState(block, walk);
+  EXPECT_EQ(block.Estimate(late), 5u);
+}
+
+// A tail key heats up mid-delta: blocks run until one could reach the
+// filter minimum, and the rest of the misses take the walk, which makes
+// the exchange where Algorithm 1 makes it.
+TEST(DeltaBatchBlockPathTest, BoundFailureMidDeltaHandsTheRestToTheWalk) {
+  Owner block = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  Owner walk = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
+  for (Owner* owner : {&block, &walk}) {
+    for (item_t key = 0; key < 32; ++key) owner->Update(key, 500);
+  }
+  std::vector<Tuple> misses;
+  for (item_t i = 0; i < 2048; ++i) {
+    const bool hot = i >= 1000 && i < 1200 && i % 2 == 0;
+    misses.push_back(hot ? Tuple{7777, 50} : Tuple{100 + i, 1});
+  }
+  const uint64_t blocked = FeedBoth(block, walk, misses, misses.size());
+  EXPECT_GT(block.stats().exchanges, 0u) << "exchange premise broken";
+  EXPECT_GE(block.filter().Find(7777), 0);
+  if (CountMin::kBlockKernel) {
+    EXPECT_GT(blocked, 0u);
+    EXPECT_LT(blocked, misses.size());
+  }
+  ExpectSameState(block, walk);
+}
+
+// With exchanges off nothing can leave or enter a full filter: the
+// bound is unbounded and every miss takes the block path.
+TEST(DeltaBatchBlockPathTest, ExchangesDisabledAppliesEveryMissAsBlocks) {
+  const CountMinConfig sketch_config =
+      CountMinConfig::FromSpaceBudget(48 * 1024, 8, 5);
+  Owner block(RelaxedHeapFilter(32), CountMin(sketch_config),
+              /*enable_exchanges=*/false);
+  Owner walk(RelaxedHeapFilter(32), CountMin(sketch_config),
+             /*enable_exchanges=*/false);
+  for (Owner* owner : {&block, &walk}) {
+    for (item_t key = 0; key < 32; ++key) owner->Update(key, 1);
+  }
+  const uint64_t updates_before = block.stats().sketch_updates;
+  const uint64_t blocked =
+      FeedBoth(block, walk, MixedWeightStream(0.8, 9));
+  const uint64_t updates = block.stats().sketch_updates - updates_before;
+  EXPECT_GT(updates, 0u);
+  EXPECT_EQ(blocked, CountMin::kBlockKernel ? updates : 0u);
+  ExpectSameState(block, walk);
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 // TERMINATE — an unbounded producer spin is the failure mode under test.
 // Runs under TSan in CI alongside the other pipeline tests.
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include <unordered_map>
 
 #include "src/core/pipeline_asketch.h"
 #include "src/workload/stream_generator.h"
@@ -101,12 +103,35 @@ TEST(PipelineOverloadTest, TransientStallRecoversWithoutDegrading) {
                            overload);
   TruthMap exact;
   const auto stream = SkewedStream(20000);
+  // The producer stalls the worker at tuple 5000; a second thread lifts
+  // the stall once the producer reaches tuple 6000 or stops making
+  // progress, i.e. is spinning on a full forward queue. Lifting it from
+  // the producer itself would deadlock in that case.
+  std::atomic<size_t> progress{0};
+  std::atomic<bool> stalled{false};
+  std::thread unstaller([&] {
+    while (!stalled.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    size_t seen = progress.load(std::memory_order_acquire);
+    while (seen < 6000) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const size_t now = progress.load(std::memory_order_acquire);
+      if (now == seen) break;  // blocked on the stalled worker
+      seen = now;
+    }
+    pipeline.StallWorkerForTesting(false);
+  });
   for (size_t i = 0; i < stream.size(); ++i) {
-    if (i == 5000) pipeline.StallWorkerForTesting(true);
-    if (i == 6000) pipeline.StallWorkerForTesting(false);
+    if (i == 5000) {
+      pipeline.StallWorkerForTesting(true);
+      stalled.store(true, std::memory_order_release);
+    }
     pipeline.Update(stream[i].key);
     ++exact[stream[i].key];
+    progress.store(i + 1, std::memory_order_release);
   }
+  unstaller.join();
   pipeline.Flush();
   EXPECT_FALSE(pipeline.stats().degraded);
   EXPECT_EQ(pipeline.stats().inline_applied, 0u);
