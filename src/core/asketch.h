@@ -38,6 +38,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -276,6 +277,9 @@ class ASketch {
       if (pending_.sketch_updates != 0) {
         metrics.sketch_updates.Add(pending_.sketch_updates);
       }
+      if (pending_.block_updates != 0) {
+        metrics.block_updates.Add(pending_.block_updates);
+      }
       if (pending_.exchanges != 0) {
         metrics.exchanges.Add(pending_.exchanges);
       }
@@ -347,32 +351,58 @@ class ASketch {
     return std::nullopt;
   }
 
-  /// Opens a delta against this instance: a DeltaBatch whose head
-  /// snapshot is the filter's current membership, taken lock-free
+  /// The filter's current membership as a head index, taken lock-free
   /// through the seqlock so decode threads may call this while the
-  /// owner is mid-batch. The snapshot is advisory: ApplyDelta tolerates
-  /// any drift between it and the filter at apply time.
+  /// owner is mid-batch.
+  std::shared_ptr<const HeadIndex> HeadSnapshot() const
+      requires requires(const FilterT& f, std::vector<FilterEntry>* out) {
+        f.SnapshotEntries(out);
+      }
+  {
+    std::vector<FilterEntry>& entries = SnapshotScratch();
+    filter_.SnapshotEntries(&entries);
+    std::vector<item_t> keys;
+    keys.reserve(entries.size());
+    for (const FilterEntry& e : entries) keys.push_back(e.key);
+    return std::make_shared<const HeadIndex>(std::move(keys));
+  }
+
+  /// Whether `head` holds exactly the filter's current key set: equal
+  /// sizes and every resident key present (filter keys are distinct),
+  /// on a lock-free snapshot like HeadSnapshot's. One probe per filter
+  /// slot, so a caller that keeps its last index can check it on every
+  /// use and never read a stale one.
+  bool HeadMatches(const HeadIndex& head) const
+      requires requires(const FilterT& f, std::vector<FilterEntry>* out) {
+        f.SnapshotEntries(out);
+      }
+  {
+    std::vector<FilterEntry>& entries = SnapshotScratch();
+    filter_.SnapshotEntries(&entries);
+    return head.size() == entries.size() &&
+           std::all_of(entries.begin(), entries.end(),
+                       [&](const FilterEntry& e) {
+                         return head.Contains(e.key);
+                       });
+  }
+
+  /// Opens a delta against this instance, keyed on HeadSnapshot(). The
+  /// snapshot is advisory: ApplyDelta tolerates any drift between it
+  /// and the filter at apply time.
   DeltaBatch<SketchT> MakeDeltaBatch() const
       requires requires(const FilterT& f, std::vector<FilterEntry>* out) {
         f.SnapshotEntries(out);
       }
   {
-    std::vector<FilterEntry> entries;
-    filter_.SnapshotEntries(&entries);
-    std::vector<item_t> keys;
-    keys.reserve(entries.size());
-    for (const FilterEntry& e : entries) keys.push_back(e.key);
-    // The heap's slot order depends on timing; sorted keys make the head
-    // table, and so ApplyDelta's visiting order, a function of the set.
-    std::sort(keys.begin(), keys.end());
-    return DeltaBatch<SketchT>(keys);
+    return DeltaBatch<SketchT>(HeadSnapshot());
   }
 
   /// Folds a decode thread's DeltaBatch into this instance — the owner
   /// side of ingest (ALGORITHMS.md §7). Caller must hold the shard's
   /// writer role (same discipline as UpdateBatch). Two steps:
   ///
-  ///   1. Each head total re-probes the live filter: still resident →
+  ///   1. Each head total, in ascending key order (a function of the
+  ///      snapshot's key set), re-probes the live filter: still resident →
   ///      one exact AddToNewCount; evicted since the snapshot → one
   ///      MissPositive carrying the whole total (free slot, or a sketch
   ///      insert and the normal exchange test). The total is never
@@ -513,6 +543,14 @@ class ASketch {
   }
 
  private:
+  /// The calling thread's buffer for filter snapshots (HeadSnapshot,
+  /// HeadMatches), reused so a decode thread does not allocate one per
+  /// frame.
+  static std::vector<FilterEntry>& SnapshotScratch() {
+    thread_local std::vector<FilterEntry> entries;
+    return entries;
+  }
+
   /// Shared TopK ordering: descending estimate, ties by ascending key.
   static void SortTopK(std::vector<FilterEntry>* entries) {
     std::sort(entries->begin(), entries->end(),
@@ -560,7 +598,7 @@ class ASketch {
   }
 
   /// Whether the live filter holds exactly the delta's head snapshot:
-  /// equal sizes and every resident key in the snapshot (one head-table
+  /// equal sizes and every resident key in the snapshot (one head-index
   /// probe per filter slot). Keys absent from the snapshot — the
   /// delta's misses — are then absent from the filter too.
   bool HeadUnchanged(const ShardDelta& delta) const {
@@ -603,6 +641,7 @@ class ASketch {
     ASKETCH_TELEMETRY_ONLY({
       pending_.sketch_weight += weight;
       pending_.sketch_updates += updates;
+      pending_.block_updates += updates;
     })
     return applied;
   }
@@ -902,6 +941,7 @@ class ASketch {
     uint64_t filtered_weight = 0;
     uint64_t sketch_weight = 0;
     uint64_t sketch_updates = 0;
+    uint64_t block_updates = 0;
     uint64_t exchanges = 0;
     uint64_t exchange_writebacks = 0;
     uint64_t deletions = 0;

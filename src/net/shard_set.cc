@@ -22,6 +22,13 @@ AnyServingSketch MakeServingSketch(const ShardSetOptions& options) {
   return MakeASketchCountMin<RelaxedHeapFilter>(options.shard_config);
 }
 
+/// The options, after the constructor's precondition: ShardRouter
+/// divides by num_shards.
+const ShardSetOptions& Checked(const ShardSetOptions& options) {
+  ASKETCH_CHECK(!options.Validate().has_value());
+  return options;
+}
+
 }  // namespace
 
 uint64_t DeltaIngestState::PendingTuples() const {
@@ -32,8 +39,146 @@ uint64_t DeltaIngestState::PendingTuples() const {
   return pending;
 }
 
+namespace {
+
+/// Shard s's codes start after every earlier shard's head size.
+std::vector<uint32_t> CodeBases(
+    const std::vector<std::shared_ptr<const HeadIndex>>& heads) {
+  std::vector<uint32_t> base(heads.size() + 1, 0);
+  for (size_t s = 0; s < heads.size(); ++s) {
+    ASKETCH_CHECK(heads[s]->size() < INT32_MAX - base[s]);
+    base[s + 1] = base[s] + static_cast<uint32_t>(heads[s]->size());
+  }
+  return base;
+}
+
+KeyTable CodeTable(const ShardRouter& router,
+                   const std::vector<std::shared_ptr<const HeadIndex>>& heads,
+                   const std::vector<uint32_t>& base) {
+  std::vector<item_t> keys;
+  std::vector<int32_t> codes;
+  for (uint32_t s = 0; s < heads.size(); ++s) {
+    const std::span<const item_t> head_keys = heads[s]->keys();
+    for (uint32_t rank = 0; rank < head_keys.size(); ++rank) {
+      if (router(head_keys[rank]) != s) continue;
+      keys.push_back(head_keys[rank]);
+      codes.push_back(static_cast<int32_t>(base[s] + rank));
+    }
+  }
+  return KeyTable(keys, codes);
+}
+
+}  // namespace
+
+SplitIndex::SplitIndex(const ShardRouter& router,
+                       std::vector<std::shared_ptr<const HeadIndex>> heads)
+    : heads_(std::move(heads)),
+      base_(CodeBases(heads_)),
+      codes_(CodeTable(router, heads_, base_)) {
+  ASKETCH_CHECK(heads_.size() == router.num_shards() &&
+                heads_.size() <= kMaxShards);
+}
+
+void SplitFrame(std::span<const Tuple> tuples, const ShardRouter& router,
+                const SplitIndex& index,
+                const std::function<void(uint32_t, ShardDelta)>& emit) {
+  const uint32_t n = router.num_shards();
+  ASKETCH_CHECK(index.num_shards() == n);
+  ASKETCH_CHECK(tuples.size() <= UINT32_MAX);
+  // Head weight and tuples per code, then kSpares spares that absorb
+  // the misses in rotation, so consecutive misses never add to the same
+  // place.
+  struct Sum {
+    uint64_t weight;
+    uint64_t tuples;
+  };
+  constexpr uint32_t kSpares = 8;
+  // Per-thread buffers, grown to the largest frame, head and shard
+  // count seen and reused.
+  struct Scratch {
+    std::vector<Sum> sums;
+    std::vector<Tuple> misses;        ///< in arrival order
+    std::vector<uint8_t> miss_shard;  ///< their shards
+    std::vector<std::vector<Tuple>> lists;
+  };
+  thread_local Scratch scratch;
+  scratch.sums.assign(index.base(n) + kSpares, Sum{0, 0});
+  scratch.misses.resize(tuples.size());
+  scratch.miss_shard.resize(tuples.size());
+  Sum* const sums = scratch.sums.data();
+  Tuple* const misses = scratch.misses.data();
+  uint8_t* const miss_shard = scratch.miss_shard.data();
+  const KeyTable::View table = index.codes().view();
+
+  // Pass 1, every tuple: one probe of the code table and no branch on
+  // its outcome, which a stream mixing head and tail keys cannot
+  // predict. A head tuple adds to its code's sums; a miss adds to a
+  // spare past the last code and is copied to the miss buffer,
+  // whose cursor only a miss advances. No head tuple is routed.
+  const uint32_t spare = index.base(n);
+  size_t missed = 0;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    const Tuple t = tuples[i];
+    const int32_t code = table.Find(t.key);
+    // All ones for a miss. Masks, not `?:`, which GCC turns back into
+    // a branch.
+    const uint32_t miss = static_cast<uint32_t>(code >> 31);
+    const uint32_t sink = spare + static_cast<uint32_t>(i % kSpares);
+    Sum& sum = sums[(static_cast<uint32_t>(code) & ~miss) | (sink & miss)];
+    sum.weight += t.value;
+    ++sum.tuples;
+    misses[missed] = t;
+    missed += miss & 1;
+  }
+
+  // Pass 2, the misses: route each one. Add keeps no zero weight, so a
+  // shard counts its misses in the low word and the nonzero-weight ones
+  // in the high word: one add per miss.
+  uint64_t miss_counts[kMaxShards];
+  std::fill_n(miss_counts, n, uint64_t{0});
+  for (size_t j = 0; j < missed; ++j) {
+    const uint32_t s = router(misses[j].key);
+    miss_shard[j] = static_cast<uint8_t>(s);
+    miss_counts[s] += (uint64_t{misses[j].value != 0} << 32) | 1;
+  }
+
+  // Pass 3: each shard's nonzero-weight misses, in arrival order, into
+  // a list of exactly their number.
+  std::vector<std::vector<Tuple>>& lists = scratch.lists;
+  lists.resize(n);
+  Tuple* next[kMaxShards];
+  for (uint32_t s = 0; s < n; ++s) {
+    lists[s].resize(miss_counts[s] >> 32);
+    next[s] = lists[s].data();
+  }
+  for (size_t j = 0; j < missed; ++j) {
+    if (misses[j].value != 0) *next[miss_shard[j]]++ = misses[j];
+  }
+
+  for (uint32_t s = 0; s < n; ++s) {
+    const Sum* const first = sums + index.base(s);
+    const Sum* const last = sums + index.base(s + 1);
+    uint64_t tuple_count = miss_counts[s] & 0xffffffffu;
+    for (const Sum* sum = first; sum != last; ++sum) {
+      tuple_count += sum->tuples;
+    }
+    if (tuple_count == 0) continue;
+    uint64_t weight = 0;
+    for (const Tuple& t : lists[s]) weight += t.value;
+    std::vector<uint64_t> totals(static_cast<size_t>(last - first));
+    for (const Sum* sum = first; sum != last; ++sum) {
+      weight += sum->weight;
+      totals[static_cast<size_t>(sum - first)] = sum->weight;
+    }
+    emit(s, ShardDelta(index.head(s), std::move(totals), std::move(lists[s]),
+                       tuple_count, weight));
+  }
+}
+
 std::optional<std::string> ShardSetOptions::Validate() const {
-  if (num_shards < 1) return std::string("num_shards must be >= 1");
+  if (num_shards < 1 || num_shards > kMaxShards) {
+    return "num_shards must be in [1, " + std::to_string(kMaxShards) + "]";
+  }
   if (max_queue_batches < 1) {
     return std::string("max_queue_batches must be >= 1");
   }
@@ -43,8 +188,8 @@ std::optional<std::string> ShardSetOptions::Validate() const {
   return shard_config.Validate();
 }
 
-ShardSet::ShardSet(const ShardSetOptions& options) : options_(options) {
-  ASKETCH_CHECK(!options.Validate().has_value());
+ShardSet::ShardSet(const ShardSetOptions& options)
+    : options_(Checked(options)), router_(options.num_shards) {
   shards_.reserve(options.num_shards);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   for (uint32_t i = 0; i < options.num_shards; ++i) {
@@ -220,21 +365,59 @@ uint64_t ShardSet::Submit(Shard& shard, ShardDelta delta) {
   return weight;
 }
 
+std::shared_ptr<const SplitIndex> ShardSet::CurrentSplitIndex() {
+  std::shared_ptr<const SplitIndex> cached;
+  {
+    std::lock_guard<std::mutex> lock(split_index_mu_);
+    cached = split_index_;
+  }
+  const uint32_t n = num_shards();
+  bool moved[kMaxShards];
+  bool any_moved = false;
+  for (uint32_t s = 0; s < n; ++s) {
+    moved[s] = cached == nullptr ||
+               !std::visit(
+                   [&](const auto& sketch) {
+                     return sketch.HeadMatches(*cached->head(s));
+                   },
+                   shards_[s]->sketch);
+    any_moved |= moved[s];
+  }
+  if (!any_moved) return cached;
+  std::vector<std::shared_ptr<const HeadIndex>> heads(n);
+  for (uint32_t s = 0; s < n; ++s) {
+    heads[s] = moved[s] ? std::visit(
+                              [](const auto& sketch) {
+                                return sketch.HeadSnapshot();
+                              },
+                              shards_[s]->sketch)
+                        : cached->head(s);
+  }
+  auto index = std::make_shared<const SplitIndex>(router_, std::move(heads));
+  std::lock_guard<std::mutex> lock(split_index_mu_);
+  split_index_ = index;
+  return index;
+}
+
 uint64_t ShardSet::Ingest(std::span<const Tuple> tuples,
                           DeltaIngestState* delta_state) {
   if (delta_state == nullptr) {
-    DeltaIngestState local = MakeDeltaState();
-    const uint64_t shed = Ingest(tuples, &local);
-    return shed + FlushDeltas(local);
+    uint64_t shed = 0;
+    SplitFrame(tuples, router_, *CurrentSplitIndex(),
+               [&](uint32_t s, ShardDelta delta) {
+                 shed += Submit(*shards_[s], std::move(delta));
+               });
+    NetMetrics::Get().delta_flushed_tuples.Add(tuples.size());
+    return shed;
   }
   DeltaIngestState& state = *delta_state;
   const uint32_t n = num_shards();
   ASKETCH_CHECK(state.per_shard_.size() == n);
-  // Per tuple: one multiplicative hash, one head-table probe, and for a
+  // Per tuple: one multiplicative hash, one head-index probe, and for a
   // miss one append. A shard's delta opens on its first tuple, with a
   // head snapshot taken lock-free from the live filter.
   for (const Tuple& t : tuples) {
-    const uint32_t index = ShardOf(t.key, n);
+    const uint32_t index = router_(t.key);
     std::optional<ShardDelta>& slot = state.per_shard_[index];
     if (!slot.has_value()) [[unlikely]] {
       slot.emplace(std::visit(
@@ -317,7 +500,7 @@ uint64_t ExactHits(const FilterEntry& e) {
 }  // namespace
 
 count_t ShardSet::Estimate(item_t key) const {
-  const Shard& shard = *shards_[ShardOf(key, num_shards())];
+  const Shard& shard = *shards_[router_(key)];
   uint64_t retries = 0;
   const count_t estimate = std::visit(
       [&](const auto& sketch) {
@@ -337,7 +520,7 @@ void ShardSet::EstimateBatch(std::span<const item_t> keys,
   // group instead of being round-robined out by the next key's shard.
   std::vector<std::vector<uint32_t>> groups(n);
   for (size_t i = 0; i < keys.size(); ++i) {
-    groups[ShardOf(keys[i], n)].push_back(static_cast<uint32_t>(i));
+    groups[router_(keys[i])].push_back(static_cast<uint32_t>(i));
   }
   uint64_t retries = 0;
   for (uint32_t s = 0; s < n; ++s) {

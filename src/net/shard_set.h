@@ -5,10 +5,11 @@
 // exact union of the per-shard reports (no cross-shard double counting).
 //
 // Ingest is asynchronous and has one path (docs/ARCHITECTURE.md). The
-// decode thread splits a batch by shard into its private per-shard
-// DeltaBatches (src/core/delta_batch.h), held in a caller-owned
-// DeltaIngestState: head-snapshot keys sum into exact totals, every
-// other tuple is kept as a miss. A flushed delta is one work item on a
+// decode thread splits a frame by shard into per-shard DeltaBatches
+// (src/core/delta_batch.h) with SplitFrame: head-snapshot keys sum into
+// exact totals, every other tuple is kept as a miss. The head
+// snapshots live in one shared SplitIndex, rebuilt only when a filter's
+// key set moves. A delta is one work item on a
 // bounded per-shard queue; the shard's owner worker folds it in with
 // ASketch::ApplyDelta (head totals re-probed, then the misses through
 // UpdateBatch, or as sketch blocks while the head is unchanged). Decode
@@ -51,6 +52,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -108,6 +110,74 @@ inline uint32_t ShardOf(item_t key, uint32_t num_shards) {
   return (key * 2654435761u) % num_shards;
 }
 
+/// ShardOf for a fixed shard count, with the divide replaced by
+/// Lemire's fastmod (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019): `magic` = ceil(2^64 / n), and the remainder is
+/// the high word of (magic · h mod 2^64) · n. Exact for every 32-bit
+/// hash h and every n ≥ 1 (n = 1 wraps magic to 0, and every key maps
+/// to shard 0), so it equals ShardOf key for key.
+class ShardRouter {
+ public:
+  explicit ShardRouter(uint32_t num_shards)
+      : num_shards_(num_shards), magic_(~uint64_t{0} / num_shards + 1) {}
+
+  uint32_t num_shards() const { return num_shards_; }
+
+  uint32_t operator()(item_t key) const {
+    const uint64_t low = magic_ * item_t{key * 2654435761u};
+    return static_cast<uint32_t>(
+        (static_cast<unsigned __int128>(low) * num_shards_) >> 64);
+  }
+
+ private:
+  uint32_t num_shards_;
+  uint64_t magic_;
+};
+
+/// Most shards a ShardSet runs; the frame split keeps a shard index in
+/// one byte.
+inline constexpr uint32_t kMaxShards = 256;
+
+/// Every shard's head snapshot at once, for the frame split: the
+/// per-shard HeadIndexes, plus one KeyTable from each head key to a
+/// *code*, its shard's base plus its rank, so one probe both finds a
+/// head tuple's shard and its total. A head key that does not route to
+/// its shard can receive no tuple there; it keeps its rank (and a zero
+/// total) but gets no code. Immutable, so decode threads share one.
+class SplitIndex {
+ public:
+  SplitIndex(const ShardRouter& router,
+             std::vector<std::shared_ptr<const HeadIndex>> heads);
+
+  uint32_t num_shards() const {
+    return static_cast<uint32_t>(heads_.size());
+  }
+  const std::shared_ptr<const HeadIndex>& head(uint32_t shard) const {
+    return heads_[shard];
+  }
+  /// Shard `shard`'s codes are [base(shard), base(shard + 1)).
+  uint32_t base(uint32_t shard) const { return base_[shard]; }
+  const KeyTable& codes() const { return codes_; }
+
+ private:
+  std::vector<std::shared_ptr<const HeadIndex>> heads_;
+  std::vector<uint32_t> base_;
+  KeyTable codes_;
+};
+
+/// Splits one UPDATE frame into per-shard deltas (the decode step,
+/// ALGORITHMS.md §7) and hands `emit(shard, delta)`, in shard order, a
+/// delta for each shard that received a tuple, equal to
+/// ShardDelta(index.head(shard)) fed that shard's tuples through Add in
+/// arrival order: head totals by rank, misses in an exactly sized list.
+/// One probe of the code table per tuple sums head weight; only misses
+/// are routed (`router` must match the one `index` was built with).
+/// Scratch space is per thread and reused, so the calling thread
+/// allocates only the deltas.
+void SplitFrame(std::span<const Tuple> tuples, const ShardRouter& router,
+                const SplitIndex& index,
+                const std::function<void(uint32_t, ShardDelta)>& emit);
+
 /// A decode thread's private delta accumulator, one slot per shard.
 /// Obtained from ShardSet::MakeDeltaState and passed back to Ingest /
 /// FlushDeltas by the same thread; never shared between threads without
@@ -126,6 +196,7 @@ class DeltaIngestState {
 };
 
 struct ShardSetOptions {
+  /// In [1, kMaxShards].
   uint32_t num_shards = 4;
   ASketchConfig shard_config;
   SketchBackend backend = SketchBackend::kCountMin;
@@ -162,17 +233,16 @@ class ShardSet {
   ShardSet(const ShardSet&) = delete;
   ShardSet& operator=(const ShardSet&) = delete;
 
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
+  uint32_t num_shards() const { return router_.num_shards(); }
 
-  /// Splits `tuples` by shard into the caller's private per-shard
-  /// deltas; shards whose delta reached delta_flush_tuples are flushed
-  /// to their queues. With a null `delta_state` a local state is used
-  /// and flushed before returning, so every tuple is queued. A flush
-  /// blocks at most max_enqueue_wait_ms per full queue, then degrades
-  /// per the overload policy. Returns the weight shed (0 under
-  /// kInlineApply).
+  /// Splits `tuples` by shard into deltas and queues them. With a null
+  /// `delta_state` (every UPDATE frame the server ingests) SplitFrame
+  /// builds one delta per shard the frame touches and every one is
+  /// queued before returning. With a caller-held state the tuples join
+  /// its per-shard deltas through ShardDelta::Add, and only shards whose
+  /// delta reached delta_flush_tuples are flushed. A flush blocks at
+  /// most max_enqueue_wait_ms per full queue, then degrades per the
+  /// overload policy. Returns the weight shed (0 under kInlineApply).
   uint64_t Ingest(std::span<const Tuple> tuples,
                   DeltaIngestState* delta_state = nullptr);
 
@@ -268,10 +338,17 @@ class ShardSet {
     bool busy = false;  ///< worker currently applying a batch
     std::thread worker;
 
+
     explicit Shard(AnyServingSketch s) : sketch(std::move(s)) {}
   };
 
   void WorkerLoop(Shard& shard);
+  /// The split index for the shards' current filters: the cached one
+  /// while every shard's head still holds its live filter's key set
+  /// (checked by content on every call), otherwise one rebuilt from
+  /// fresh snapshots of the shards that moved, which replaces the
+  /// cache.
+  std::shared_ptr<const SplitIndex> CurrentSplitIndex();
   /// Applies one delta under shard.mu (caller holds it) and bumps
   /// applied_tuples at the boundary; returns the tuple count applied.
   uint64_t ApplyLocked(Shard& shard, ShardDelta& delta);
@@ -300,7 +377,12 @@ class ShardSet {
   static constexpr uint32_t kCalmSubmitsToRecover = 128;
 
   ShardSetOptions options_;
+  ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// The last split index built, shared by every decode thread until a
+  /// filter's key set moves (CurrentSplitIndex).
+  std::mutex split_index_mu_;
+  std::shared_ptr<const SplitIndex> split_index_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> stalled_{false};
   std::atomic<uint64_t> shed_weight_{0};

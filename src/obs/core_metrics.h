@@ -31,6 +31,7 @@ struct IngestMetrics {
   Counter& exchanges;            ///< filter<->sketch exchanges
   Counter& exchange_writebacks;  ///< evictions with nonzero exact delta
   Counter& sketch_updates;       ///< sketch insertions incl. writebacks
+  Counter& block_updates;        ///< of those, known-miss block inserts
   Counter& deletions;            ///< negative-delta updates
   Counter& sampled_skips;        ///< tail updates elided by sampling
   Histogram& update_batch_ns;    ///< wall time of one UpdateBatch call
@@ -44,6 +45,7 @@ struct IngestMetrics {
           r.GetCounter("asketch_exchanges_total"),
           r.GetCounter("asketch_exchange_writebacks_total"),
           r.GetCounter("asketch_sketch_updates_total"),
+          r.GetCounter("asketch_block_updates_total"),
           r.GetCounter("asketch_deletions_total"),
           r.GetCounter("asketch_sampled_skips_total"),
           r.GetHistogram("asketch_update_batch_ns")};

@@ -2,7 +2,7 @@
 // per-shard UpdateBatch under a stable head for both backends,
 // flush/drain barrier semantics, the overload paths, snapshot
 // round-trips, and — under TSan — concurrent decode threads building
-// private deltas while lock-free readers query.
+// deltas, stable-head and churning, while lock-free readers query.
 
 #include <atomic>
 #include <cstdint>
@@ -89,12 +89,18 @@ std::vector<ServingT> ParseShards(std::span<const uint8_t> payload) {
 }
 
 /// The one-path equality law (ALGORITHMS.md §7): under a stable head,
-/// UPDATE-sized Ingest slices plus FlushDeltas plus Drain leave every
-/// shard in the state serial ASketch::UpdateBatch over that shard's
-/// tuples produces — estimates over the whole domain, the filter's
-/// entries and counters, the split stats, and the sketch cells.
+/// `frame`-tuple Ingest slices plus Drain leave every shard in the
+/// state serial ASketch::UpdateBatch over that shard's tuples produces —
+/// estimates over the whole domain, the filter's entries and counters,
+/// the split stats, and the sketch cells. With `caller_state` the
+/// slices join a caller-held DeltaIngestState, the last of them left
+/// for FlushDeltas; without, each slice is one null-state Ingest, the
+/// frame split the server runs per UPDATE frame.
 template <typename ServingT, typename MakeFn>
-void ExpectStableHeadMatchesSerial(SketchBackend backend, MakeFn make) {
+void ExpectStableHeadMatchesSerial(SketchBackend backend, MakeFn make,
+                                   size_t frame, bool caller_state) {
+  SCOPED_TRACE(testing::Message() << "frame " << frame << " caller state "
+                                  << caller_state);
   const ShardSetOptions options = BaseOptions(backend);
   ShardSet shards(options);
   const uint32_t n = options.num_shards;
@@ -103,11 +109,10 @@ void ExpectStableHeadMatchesSerial(SketchBackend backend, MakeFn make) {
   shards.Ingest(warmup);
   shards.Drain();
   DeltaIngestState state = shards.MakeDeltaState();
-  // Many small UPDATE-sized slices, the last one left for FlushDeltas.
-  for (size_t begin = 0; begin < payload.size(); begin += 997) {
-    const size_t count = std::min<size_t>(997, payload.size() - begin);
+  for (size_t begin = 0; begin < payload.size(); begin += frame) {
+    const size_t count = std::min(frame, payload.size() - begin);
     shards.Ingest(std::span<const Tuple>(payload.data() + begin, count),
-                  &state);
+                  caller_state ? &state : nullptr);
   }
   shards.FlushDeltas(state);
   shards.Drain();
@@ -160,18 +165,32 @@ void ExpectStableHeadMatchesSerial(SketchBackend backend, MakeFn make) {
   }
 }
 
+ServingSketch MakeCountMin(const ASketchConfig& config) {
+  return MakeASketchCountMin<RelaxedHeapFilter>(config);
+}
+
+ServingSketchSalsa MakeSalsa(const ASketchConfig& config) {
+  return MakeASketchSalsa<RelaxedHeapFilter>(config);
+}
+
+// UPDATE-sized slices into a caller-held state, and null-state frames of
+// 1, 17 and 8192 tuples (the frame split).
 TEST(NetDeltaIngestTest, StableHeadMatchesSerialUpdateBatchCountMin) {
-  ExpectStableHeadMatchesSerial<ServingSketch>(
-      SketchBackend::kCountMin, [](const ASketchConfig& config) {
-        return MakeASketchCountMin<RelaxedHeapFilter>(config);
-      });
+  ExpectStableHeadMatchesSerial<ServingSketch>(SketchBackend::kCountMin,
+                                               MakeCountMin, 997, true);
+  for (const size_t frame : {1u, 17u, 8192u}) {
+    ExpectStableHeadMatchesSerial<ServingSketch>(SketchBackend::kCountMin,
+                                                 MakeCountMin, frame, false);
+  }
 }
 
 TEST(NetDeltaIngestTest, StableHeadMatchesSerialUpdateBatchSalsa) {
-  ExpectStableHeadMatchesSerial<ServingSketchSalsa>(
-      SketchBackend::kSalsa, [](const ASketchConfig& config) {
-        return MakeASketchSalsa<RelaxedHeapFilter>(config);
-      });
+  ExpectStableHeadMatchesSerial<ServingSketchSalsa>(SketchBackend::kSalsa,
+                                                    MakeSalsa, 997, true);
+  for (const size_t frame : {1u, 17u, 8192u}) {
+    ExpectStableHeadMatchesSerial<ServingSketchSalsa>(
+        SketchBackend::kSalsa, MakeSalsa, frame, false);
+  }
 }
 
 TEST(NetDeltaIngestTest, SalsaDeltaModeStaysOneSided) {
@@ -349,6 +368,68 @@ TEST(NetDeltaIngestTest, ConcurrentDecodeThreadsAndReadersAreSafe) {
     ASSERT_GE(static_cast<wide_count_t>(shards.Estimate(key)),
               truth.Count(key))
         << "key " << key;
+  }
+}
+
+// The TSan stress case for the frame split: cold filters and a Zipf 0.8
+// stream keep exchanges moving every shard's head, so decode threads
+// keep rebuilding and sharing head indexes while owners apply deltas
+// and a reader answers batched queries. Estimates must stay one-sided
+// and the split ledgers must conserve the true mass.
+TEST(NetDeltaIngestTest, ChurningHeadDecodeThreadsAndBatchReaderStayExact) {
+  ShardSet shards(BaseOptions(SketchBackend::kCountMin));
+  ExactCounter truth(kDomain);
+  uint64_t true_mass = 0;
+  std::vector<std::vector<Tuple>> streams;
+  for (uint64_t seed = 0; seed < 2; ++seed) {
+    StreamSpec spec;
+    spec.stream_size = 40000;
+    spec.num_distinct = kDomain;
+    spec.skew = 0.8;
+    spec.seed = 200 + seed;
+    streams.push_back(GenerateStream(spec));
+    for (const Tuple& t : streams.back()) {
+      truth.Update(t.key, static_cast<delta_t>(t.value));
+      true_mass += t.value;
+    }
+  }
+  std::vector<item_t> probes;
+  for (item_t key = 0; key < kDomain; key += 3) probes.push_back(key);
+  std::atomic<bool> stop_reader{false};
+  std::thread reader([&] {
+    std::vector<uint64_t> estimates;
+    uint64_t batches = 0;
+    while (!stop_reader.load(std::memory_order_acquire)) {
+      shards.EstimateBatch(probes, &estimates);
+      ASSERT_EQ(estimates.size(), probes.size());
+      ++batches;
+    }
+    EXPECT_GT(batches, 0u);
+  });
+  std::vector<std::thread> writers;
+  for (const auto& stream : streams) {
+    writers.emplace_back([&shards, &stream] {
+      for (size_t begin = 0; begin < stream.size(); begin += 509) {
+        const size_t count = std::min<size_t>(509, stream.size() - begin);
+        shards.Ingest(std::span<const Tuple>(stream.data() + begin, count));
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  shards.Drain();
+  stop_reader.store(true, std::memory_order_release);
+  reader.join();
+
+  const WireStats stats = shards.GetStats();
+  EXPECT_GT(stats.exchanges, 0u) << "churn premise broken";
+  EXPECT_EQ(stats.filtered_weight + stats.sketch_weight, true_mass);
+  EXPECT_EQ(TotalApplied(shards), streams[0].size() + streams[1].size());
+  std::vector<item_t> all(kDomain);
+  for (item_t key = 0; key < kDomain; ++key) all[key] = key;
+  std::vector<uint64_t> estimates;
+  shards.EstimateBatch(all, &estimates);
+  for (item_t key = 0; key < kDomain; ++key) {
+    ASSERT_GE(estimates[key], truth.Count(key)) << "key " << key;
   }
 }
 

@@ -235,6 +235,10 @@ TEST(NetWireFuzz, OffenderClosedOthersUnaffected) {
   ASSERT_EQ(healthy.Update(second), std::nullopt);
   ASSERT_EQ(healthy.Flush(), std::nullopt);
   EXPECT_EQ(healthy.last_ack().received_tuples, 2u);
+  // A Flush ack means "queued"; DIGEST drains the shard queues, so the
+  // query below reads the applied tuple.
+  StateDigest digest;
+  ASSERT_EQ(healthy.Digest(&digest), std::nullopt);
   uint64_t estimate = 0;
   ASSERT_EQ(healthy.Query(10, &estimate), std::nullopt);
   EXPECT_GE(estimate, 5u);

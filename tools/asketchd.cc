@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
       if (!ParseU64(value(), &n) || n < 1 || n > 64) return Usage();
       options.shards.shard_config.width = static_cast<uint32_t>(n);
     } else if (arg == "--filter") {
-      if (!ParseU64(value(), &n) || n < 1) return Usage();
+      if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
       options.shards.shard_config.filter_items = static_cast<uint32_t>(n);
     } else if (arg == "--seed") {
       if (!ParseU64(value(), &n)) return Usage();
@@ -167,10 +167,10 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       options.snapshot_prefix = v;
     } else if (arg == "--retain") {
-      if (!ParseU64(value(), &n) || n < 1) return Usage();
+      if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
       options.snapshot_retain = static_cast<uint32_t>(n);
     } else if (arg == "--checkpoint-interval-ms") {
-      if (!ParseU64(value(), &n)) return Usage();
+      if (!ParseU64(value(), &n) || n > UINT32_MAX) return Usage();
       options.checkpoint_interval_ms = static_cast<uint32_t>(n);
     } else if (arg == "--metrics-port") {
       if (!ParseU64(value(), &metrics_port) || metrics_port > 65535) {
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--max-connections") {
-      if (!ParseU64(value(), &n) || n < 1) return Usage();
+      if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
       options.max_connections = static_cast<uint32_t>(n);
     } else if (arg == "--idle-timeout-ms") {
       if (!ParseU64(value(), &n) || n > UINT32_MAX) return Usage();

@@ -95,6 +95,21 @@ run_smoke() {
   SERVER_PID=""
 }
 
+# 32-bit flags: a value above UINT32_MAX is a usage error (exit 2), not
+# a silent truncation (--max-connections 4294967296 would become 0 and
+# refuse every connection). A daemon that starts anyway is stopped by
+# the timeout, which fails the check with status 124.
+for case in "--filter 4294967297" "--retain 4294967297" \
+            "--checkpoint-interval-ms 4294967296" \
+            "--max-connections 4294967296"; do
+  # shellcheck disable=SC2086  # split "flag value" into two arguments
+  timeout 10 "$ASKETCHD" --port 0 $case >"$WORK/flag.log" 2>&1
+  status=$?
+  [ "$status" -eq 2 ] \
+    || fail "asketchd $case: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
+done
+echo "oversized 32-bit flag values rejected with usage"
+
 run_smoke countmin
 run_smoke salsa
 
