@@ -51,10 +51,9 @@ for bin in "$BUILD_DIR"/bench/bench_*; do
   seconds=$(awk "BEGIN{printf \"%.3f\", ($end_ns - $start_ns) / 1e9}")
   cat "$OUT_DIR/$name.txt" >> "$SUMMARY"
   printf '\n' >> "$SUMMARY"
-  # Benches that print machine-readable `key=value` lines (e.g.
-  # bench_sampled_ingest's speedup_within_2x_are=1.58 row) get them
-  # lifted into a "metrics" object so dashboards can read the numbers
-  # without parsing the raw output.
+  # Benches that print machine-readable lines of the form
+  # `name=number` get them lifted into a "metrics" object so dashboards
+  # can read the numbers without parsing the raw output.
   metrics=$(grep -ohE '^[a-z][a-z0-9_]*=[0-9.]+$' "$OUT_DIR/$name.txt" \
               | awk -F= 'BEGIN{ORS=""; sep=""}
                          {printf "%s\"%s\":%s", sep, $1, $2; sep=","}')

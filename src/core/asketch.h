@@ -45,9 +45,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/atomic_util.h"
 #include "src/common/check.h"
-#include "src/common/sampling.h"
 #include "src/core/delta_batch.h"
 #include "src/obs/core_metrics.h"
 #include "src/obs/trace.h"
@@ -82,10 +80,6 @@ struct ASketchStats {
   uint64_t exchange_writebacks = 0;
   /// Number of sketch insertions, including exchange writebacks.
   uint64_t sketch_updates = 0;
-  /// Tail updates elided by geometric sampling (ALGORITHMS.md §8); their
-  /// weight still counts in sketch_weight — the scaled survivors carry
-  /// it in expectation. Not serialized (the "ASK1" layout predates it).
-  uint64_t sampled_skips = 0;
   /// Sketch insertions ApplyDelta's known-miss block path applied
   /// (ALGORITHMS.md §7); a subset of sketch_updates. Not serialized.
   uint64_t block_updates = 0;
@@ -115,37 +109,9 @@ class ASketch {
         sketch_(std::move(sketch)),
         enable_exchanges_(enable_exchanges) {}
 
-  /// Publishes a tail sampling rate (permille of tail updates applied;
-  /// 1000 = sampling off). Callable from any thread — the value lands in
-  /// a relaxed-atomic target that the owner thread folds into its private
-  /// sampler at the next Update/UpdateBatch boundary (SyncTailSampler).
-  /// When active, each sketch insert in MissPositive is applied with
-  /// probability p = permille/1000 and scaled by 1/p (stochastically
-  /// rounded): tail estimates become unbiased but lose the one-sided
-  /// bound; filter hits and free-slot inserts stay bit-exact
-  /// (ALGORITHMS.md §8). At 1000 the path is bit-identical to unsampled.
-  void SetTailSamplePermille(uint32_t permille) {
-    RelaxedStore(tail_sample_permille_,
-                 std::clamp<uint32_t>(permille, 1, 1000));
-  }
-  void SetTailSampleRate(double rate) {
-    SetTailSamplePermille(static_cast<uint32_t>(rate * 1000.0 + 0.5));
-  }
-  uint32_t tail_sample_permille() const {
-    return RelaxedLoad(tail_sample_permille_);
-  }
-  /// Reseeds the owner-side sampler (owner thread only; call before
-  /// ingest starts for reproducible runs).
-  void SeedTailSampler(uint64_t seed) {
-    const uint32_t permille = tail_sampler_.permille();
-    tail_sampler_ = GeometricSampler(seed);
-    tail_sampler_.SetPermille(permille);
-  }
-
   /// Algorithm 1 (positive deltas) / Appendix A (negative deltas).
   void Update(item_t key, delta_t delta = 1) {
     if (delta == 0) return;
-    SyncTailSampler();
     if (delta > 0) {
       UpdatePositive(key, delta);
     } else {
@@ -289,9 +255,6 @@ class ASketch {
       if (pending_.deletions != 0) {
         metrics.deletions.Add(pending_.deletions);
       }
-      if (pending_.sampled_skips != 0) {
-        metrics.sampled_skips.Add(pending_.sampled_skips);
-      }
       pending_ = PendingTelemetry{};
     })
   }
@@ -405,12 +368,10 @@ class ASketch {
   ///      snapshot's key set), re-probes the live filter: still resident →
   ///      one exact AddToNewCount; evicted since the snapshot → one
   ///      MissPositive carrying the whole total (free slot, or a sketch
-  ///      insert and the normal exchange test). The total is never
-  ///      sampled: the tuples were head hits when they arrived.
-  ///   2. The misses run through UpdateBatch in arrival order, where the
-  ///      tail sampler applies per tuple. When the live filter still
-  ///      holds exactly the head snapshot, every miss is a known miss:
-  ///      on a full filter with the sampler off, Count-Min builds first
+  ///      insert and the normal exchange test).
+  ///   2. The misses run through UpdateBatch in arrival order. When the
+  ///      live filter still holds exactly the head snapshot, every miss
+  ///      is a known miss: on a full filter, Count-Min builds first
   ///      apply them as blocks (ApplyKnownMisses) with no filter probe
   ///      and no per-tuple walk, up to the first block that might win
   ///      an exchange.
@@ -436,8 +397,7 @@ class ASketch {
         ASKETCH_TELEMETRY_ONLY(
             pending_.filtered_weight += static_cast<uint64_t>(d);)
       } else {
-        MissPositive(key, d, /*prepared=*/nullptr, /*stride=*/1,
-                     /*sample=*/false);
+        MissPositive(key, d);
       }
     });
     bool known_misses = false;
@@ -572,15 +532,14 @@ class ASketch {
 
   /// UpdateBatch's body, shared with ApplyDelta's miss step.
   /// `known_misses` promises that no tuple's key is filter-resident;
-  /// with a full filter and the sampler off, a prefix of the tuples
-  /// then goes through ApplyKnownMisses and the rest through the walk.
+  /// with a full filter, a prefix of the tuples then goes through
+  /// ApplyKnownMisses and the rest through the walk.
   void IngestBatch(std::span<const Tuple> tuples, bool known_misses) {
     ASKETCH_TRACE_SPAN("asketch_update_batch");
     ASKETCH_TELEMETRY_ONLY(
         const auto telemetry_start = std::chrono::steady_clock::now();)
-    SyncTailSampler();
     if constexpr (kKnownMissBlocks) {
-      if (known_misses && filter_.Full() && !tail_sampler_.active()) {
+      if (known_misses && filter_.Full()) {
         tuples = tuples.subspan(ApplyKnownMisses(tuples));
       }
     } else {
@@ -611,17 +570,16 @@ class ASketch {
   }
 
   /// Known-miss block path (ALGORITHMS.md §7 step 2). Every tuple's key
-  /// is absent from a full filter and the sampler is off, so Algorithm 1
-  /// would send each one straight to the sketch and then test it for an
-  /// exchange. The sketch applies the tuples in blocks as long as every
-  /// key's estimate after its block is bounded by the filter minimum
+  /// is absent from a full filter, so Algorithm 1 would send each one
+  /// straight to the sketch and then test it for an exchange. The sketch
+  /// applies the tuples in blocks as long as every key's estimate after
+  /// its block is bounded by the filter minimum
   /// (CountMin::UpdateBatchBounded). Estimates only grow within a block,
   /// so no tuple of such a block can win an exchange, the filter does
-  /// not change,
-  /// and saturating adds of unsigned weights commute per cell, so the
-  /// state matches the walk's bit for bit. The first block that might
-  /// exchange is left, with everything after it, to WalkBatch. Returns
-  /// the number of tuples applied.
+  /// not change, and saturating adds of unsigned weights commute per
+  /// cell, so the state matches the walk's bit for bit. The first block
+  /// that might exchange is left, with everything after it, to
+  /// WalkBatch. Returns the number of tuples applied.
   size_t ApplyKnownMisses(std::span<const Tuple> tuples)
     requires kKnownMissBlocks
   {
@@ -759,13 +717,10 @@ class ASketch {
   /// this call are stale. `prepared` optionally carries the bucket
   /// indices PrepareUpdate/PrepareUpdateBatch computed for `key` (batch
   /// path; row r's bucket at prepared[r*stride]); they replace the hash
-  /// pass of the sketch insert with a bit-identical replay. `sample`
-  /// false bypasses the tail sampler: ApplyDelta's head totals aggregate
-  /// many tuples, and one sampling draw for all of them would skip or
-  /// scale the whole total at once.
+  /// pass of the sketch insert with a bit-identical replay.
   bool MissPositive(item_t key, delta_t delta,
                     const uint32_t* prepared = nullptr,
-                    size_t stride = 1, bool sample = true) {
+                    size_t stride = 1) {
     if (!filter_.Full()) {
       filter_.Insert(key, static_cast<count_t>(std::min<delta_t>(
                               delta, ~count_t{0})),
@@ -775,26 +730,6 @@ class ASketch {
           pending_.filtered_weight += static_cast<uint64_t>(delta);)
       return true;
     }
-    // Sampled tail path (ALGORITHMS.md §8): elide this sketch insert
-    // with probability 1-p, or apply it scaled by 1/p. Either way the
-    // TRUE weight is booked into sketch_weight — the stream-split stats
-    // describe the stream, not the sampler. Skips cost one countdown
-    // decrement and never touch a sketch cell; no exchange can trigger
-    // on a skipped tuple. Exchange writebacks (WriteBackVictim) bypass
-    // this entirely — a victim's exact slack is never sampled away.
-    delta_t applied = delta;
-    if (sample && tail_sampler_.active()) {
-      if (!tail_sampler_.ShouldApply()) {
-        stats_.sketch_weight += static_cast<wide_count_t>(delta);
-        ++stats_.sampled_skips;
-        ASKETCH_TELEMETRY_ONLY({
-          pending_.sketch_weight += static_cast<uint64_t>(delta);
-          ++pending_.sampled_skips;
-        })
-        return false;
-      }
-      applied = tail_sampler_.ScaleDelta(delta);
-    }
     // Lines 7-9: forward to the sketch and read back the new estimate.
     // Backends exposing the fused UpdateAndEstimate hash only once here;
     // others fall back to Update + Estimate.
@@ -803,14 +738,14 @@ class ASketch {
                     s.UpdateAndEstimateAt(prepared, delta, stride);
                   }) {
       if (prepared != nullptr) {
-        estimate = sketch_.UpdateAndEstimateAt(prepared, applied, stride);
+        estimate = sketch_.UpdateAndEstimateAt(prepared, delta, stride);
       } else {
-        estimate = UpdateAndEstimateUnprepared(key, applied);
+        estimate = UpdateAndEstimateUnprepared(key, delta);
       }
     } else {
       (void)prepared;
       (void)stride;
-      estimate = UpdateAndEstimateUnprepared(key, applied);
+      estimate = UpdateAndEstimateUnprepared(key, delta);
     }
     ++stats_.sketch_updates;
     stats_.sketch_weight += static_cast<wide_count_t>(delta);
@@ -945,30 +880,13 @@ class ASketch {
     uint64_t exchanges = 0;
     uint64_t exchange_writebacks = 0;
     uint64_t deletions = 0;
-    uint64_t sampled_skips = 0;
     uint64_t since_flush = 0;  ///< scalar Updates since the last flush
   };
-
-  /// Folds a cross-thread rate change (SetTailSamplePermille) into the
-  /// owner's private sampler. One relaxed load + compare; the branch is
-  /// never taken in steady state.
-  void SyncTailSampler() {
-    const uint32_t target = RelaxedLoad(tail_sample_permille_);
-    if (target != tail_sampler_.permille()) [[unlikely]] {
-      tail_sampler_.SetPermille(target);
-    }
-  }
 
   FilterT filter_;
   SketchT sketch_;
   bool enable_exchanges_ = true;
   ASketchStats stats_;
-  /// Owner-thread tail sampler (inactive by default) and its cross-
-  /// thread rate target, accessed via atomic_ref so the class stays
-  /// movable. Runtime ingest policy, not synopsis state: neither is
-  /// serialized or adopted.
-  GeometricSampler tail_sampler_;
-  uint32_t tail_sample_permille_ = 1000;
   ASKETCH_TELEMETRY_ONLY(PendingTelemetry pending_;)
 };
 

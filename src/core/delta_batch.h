@@ -12,9 +12,8 @@
 // head total; every other tuple passes through unchanged into a plain
 // miss list. The owner folds the delta in with ASketch::ApplyDelta: each
 // head total, in ascending key order, re-probes the live filter, then
-// the misses run through UpdateBatch — the same prepared sketch kernel,
-// admission and exchange policy, and sampler as serial ingest
-// (ALGORITHMS.md §7).
+// the misses run through UpdateBatch — the same prepared sketch kernel
+// and admission and exchange policy as serial ingest (ALGORITHMS.md §7).
 //
 // The snapshot is advisory: the live filter may evict or admit keys
 // after the delta opens. ApplyDelta's re-probe absorbs both directions

@@ -49,8 +49,6 @@ struct NetMetrics {
                                      ///< flagged as reconnect replays
   obs::Gauge& connections;           ///< currently open connections
   obs::Gauge& degraded;              ///< 1 while any shard queue overflowed
-  obs::Gauge& sample_rate_permille;  ///< effective tail sampling rate
-                                     ///< (1000 = sampling off)
   obs::Histogram& request_ns;        ///< wall time of one non-UPDATE request
   obs::Histogram& delta_merge_ns;    ///< wall time of one ApplyDelta
   obs::Gauge& queue_depth_idle;      ///< constant-0 shard="none" placeholder
@@ -81,7 +79,6 @@ struct NetMetrics {
           r.GetCounter("asketch_net_replayed_tuples_total"),
           r.GetGauge("asketch_net_connections"),
           r.GetGauge("asketch_net_degraded"),
-          r.GetGauge("asketch_net_sample_rate_permille"),
           r.GetHistogram("asketch_net_request_ns"),
           r.GetHistogram("asketch_net_delta_merge_ns"),
           r.GetGauge("asketch_net_shard_queue_depth", "shard=\"none\"")};

@@ -182,9 +182,6 @@ std::optional<std::string> ShardSetOptions::Validate() const {
   if (max_queue_batches < 1) {
     return std::string("max_queue_batches must be >= 1");
   }
-  if (!(sample_rate > 0.0) || sample_rate > 1.0) {
-    return std::string("sample_rate must be in (0, 1]");
-  }
   return shard_config.Validate();
 }
 
@@ -205,54 +202,8 @@ ShardSet::ShardSet(const ShardSetOptions& options)
   // The placeholder series keeps the family present before/after any
   // ShardSet instance is alive (same trick as the pipeline gauge).
   NetMetrics::Get();
-  // Tail sampling: the configured rate is the floor; adaptive mode
-  // starts unsampled and decays toward it under pressure. Owner-side
-  // samplers are seeded per shard before the workers start, so sampled
-  // runs are reproducible for a fixed config seed and arrival order.
-  floor_permille_ = std::clamp<uint32_t>(
-      static_cast<uint32_t>(options.sample_rate * 1000.0 + 0.5), 1, 1000);
-  for (uint32_t i = 0; i < options.num_shards; ++i) {
-    std::visit(
-        [&](auto& sketch) {
-          sketch.SeedTailSampler(options.shard_config.seed ^
-                                 (0x9e3779b97f4a7c15ull * (i + 1)));
-        },
-        shards_[i]->sketch);
-  }
-  PublishSamplePermille(options.adaptive_sampling ? 1000u
-                                                  : floor_permille_);
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(*s); });
-  }
-}
-
-void ShardSet::PublishSamplePermille(uint32_t permille) {
-  sample_permille_.store(permille, std::memory_order_relaxed);
-  NetMetrics::Get().sample_rate_permille.Set(permille);
-  // The owners sample in MissPositive; their relaxed-atomic rate targets
-  // can be stored from any thread (ASketch folds the change in at its
-  // next batch boundary).
-  for (auto& shard : shards_) {
-    std::visit(
-        [&](auto& sketch) { sketch.SetTailSamplePermille(permille); },
-        shard->sketch);
-  }
-}
-
-void ShardSet::NoteSubmitOutcome(bool pressure) {
-  if (!options_.adaptive_sampling) return;
-  const uint32_t cur = sample_permille_.load(std::memory_order_relaxed);
-  if (pressure) {
-    calm_submits_.store(0, std::memory_order_relaxed);
-    const uint32_t next = std::max(floor_permille_, cur / 2);
-    if (next != cur) PublishSamplePermille(next);
-    return;
-  }
-  if (cur >= 1000) return;
-  if (calm_submits_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      kCalmSubmitsToRecover) {
-    calm_submits_.store(0, std::memory_order_relaxed);
-    PublishSamplePermille(std::min<uint32_t>(1000, cur * 2));
   }
 }
 
@@ -323,11 +274,9 @@ uint64_t ShardSet::ApplyLocked(Shard& shard, ShardDelta& delta) {
 uint64_t ShardSet::Submit(Shard& shard, ShardDelta delta) {
   NetMetrics& metrics = NetMetrics::Get();
   bool enqueued = false;
-  bool pressured = false;  ///< hit a full queue (adaptive-sampling signal)
   {
     std::unique_lock<std::mutex> lock(shard.queue_mu);
     if (shard.queue.size() >= options_.max_queue_batches) {
-      pressured = true;
       metrics.enqueue_waits.Add(1);
       shard.cv_push.wait_for(
           lock, std::chrono::milliseconds(options_.max_enqueue_wait_ms),
@@ -343,11 +292,7 @@ uint64_t ShardSet::Submit(Shard& shard, ShardDelta delta) {
       enqueued = true;
     }
   }
-  if (enqueued) {
-    NoteSubmitOutcome(pressured);
-    return 0;
-  }
-  NoteSubmitOutcome(true);
+  if (enqueued) return 0;
   // Bounded wait exhausted: degrade. Sticky gauge — an operator seeing
   // asketch_net_degraded == 1 knows at least one queue overflowed
   // since startup (the *_total counters say how much).

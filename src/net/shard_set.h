@@ -209,18 +209,6 @@ struct ShardSetOptions {
   /// many tuples; FlushDeltas flushes the rest. (The server flushes after
   /// every UPDATE frame, which is smaller.)
   static constexpr uint32_t delta_flush_tuples = 32768;
-  /// Tail sampling rate (NitroSketch-style, ALGORITHMS.md §8): each
-  /// tail-sketch update is applied with this probability and scaled by
-  /// its inverse. Filter hits are never sampled. 1.0 (the default) is
-  /// bit-identical to unsampled ingest; below 1.0 tail estimates are
-  /// unbiased but no longer one-sided. In (0, 1]. The one sampling site
-  /// is the shard owner's ASketch::MissPositive.
-  double sample_rate = 1.0;
-  /// "Always line rate": start unsampled and halve the effective rate
-  /// on queue pressure (bounded enqueue waits / sheds), down to
-  /// `sample_rate` as the floor; recover ×2 after a calm stretch. The
-  /// live value is exported as asketch_net_sample_rate_permille.
-  bool adaptive_sampling = false;
 
   std::optional<std::string> Validate() const;
 };
@@ -313,12 +301,6 @@ class ShardSet {
   /// fill deterministically and the overload paths can be exercised.
   void StallWorkersForTesting(bool stalled);
 
-  /// The effective tail sampling rate in permille (1000 = off). Equals
-  /// the configured rate unless adaptive_sampling is moving it.
-  uint32_t SamplePermille() const {
-    return sample_permille_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Shard {
     /// Serializes the *writers* of sketch + applied_tuples (worker
@@ -357,24 +339,12 @@ class ShardSet {
   uint64_t Submit(Shard& shard, ShardDelta delta);
   /// Flushes shard `index`'s delta from `state` if it is non-empty.
   uint64_t FlushShardDelta(uint32_t index, DeltaIngestState& state);
-  /// Publishes a new effective sampling rate: atomic target, gauge, and
-  /// the per-shard owner samplers' relaxed targets.
-  void PublishSamplePermille(uint32_t permille);
-  /// Adaptive-sampling feedback from one Submit: pressure (a bounded
-  /// wait or degradation) halves the rate toward the floor; a calm
-  /// stretch of kCalmSubmitsToRecover submits doubles it toward 1000.
-  void NoteSubmitOutcome(bool pressure);
   /// Serializes all shards; caller must hold every shard.mu.
   std::vector<uint8_t> SerializeLocked() const;
   /// Deserializes `payload` into the shards; caller must hold every
   /// shard.mu. Returns an error message on failure (state unchanged).
   std::optional<std::string> RestoreLocked(
       std::span<const uint8_t> payload);
-
-  /// Consecutive pressure-free Submits before adaptive sampling doubles
-  /// the rate back toward 1.0 — long enough that a transient lull does
-  /// not immediately re-saturate the queues.
-  static constexpr uint32_t kCalmSubmitsToRecover = 128;
 
   ShardSetOptions options_;
   ShardRouter router_;
@@ -387,11 +357,6 @@ class ShardSet {
   std::atomic<bool> stalled_{false};
   std::atomic<uint64_t> shed_weight_{0};
   std::atomic<uint64_t> inline_applied_{0};
-  /// Effective tail sampling rate in permille; configured floor; calm-
-  /// submit streak (adaptive mode).
-  std::atomic<uint32_t> sample_permille_{1000};
-  uint32_t floor_permille_ = 1000;
-  std::atomic<uint32_t> calm_submits_{0};
   std::vector<uint64_t> gauge_ids_;
 };
 

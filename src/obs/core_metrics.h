@@ -33,7 +33,6 @@ struct IngestMetrics {
   Counter& sketch_updates;       ///< sketch insertions incl. writebacks
   Counter& block_updates;        ///< of those, known-miss block inserts
   Counter& deletions;            ///< negative-delta updates
-  Counter& sampled_skips;        ///< tail updates elided by sampling
   Histogram& update_batch_ns;    ///< wall time of one UpdateBatch call
 
   static IngestMetrics& Get() {
@@ -47,7 +46,6 @@ struct IngestMetrics {
           r.GetCounter("asketch_sketch_updates_total"),
           r.GetCounter("asketch_block_updates_total"),
           r.GetCounter("asketch_deletions_total"),
-          r.GetCounter("asketch_sampled_skips_total"),
           r.GetHistogram("asketch_update_batch_ns")};
       // N2 / (N1 + N2), the paper's filter selectivity, always current.
       r.RegisterCallbackGauge(

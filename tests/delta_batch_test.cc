@@ -5,8 +5,8 @@
 // both head-drift races the advisory snapshot allows (eviction of a
 // snapshot member, admission of a non-snapshot key). A cold filter
 // learns the hot set from the misses alone. The known-miss block path
-// (ApplyDelta on a full, unchanged head with the sampler off) must leave
-// the state the walk leaves, byte for byte, and every case it must not
+// (ApplyDelta on a full, unchanged head) must leave the state the walk
+// leaves, byte for byte, and every case it must not
 // take or must leave early is pinned.
 
 #include <cstdint>
@@ -206,6 +206,53 @@ TEST(DeltaBatchTest, EvictionDuringMergeStaysOneSided) {
   }
 }
 
+// A head total whose key was evicted before the delta lands is one
+// sketch insertion carrying the whole total: the key's estimate covers
+// its exact count and exceeds it by at most collision noise, far below
+// the total a second insertion would add, and the weight ledger still
+// equals the true mass.
+TEST(DeltaBatchTest, EvictedHeadTotalTakesOneWholeMiss) {
+  auto sketch = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
+  ExactCounter truth(kDomain);
+  for (item_t key = 0; key < kFilterItems; ++key) {
+    sketch.Update(key, 3);
+    truth.Update(key, 3);
+  }
+  constexpr uint64_t kHeadTotal = 1000;
+  DeltaBatch<CountMin> delta = sketch.MakeDeltaBatch();
+  for (item_t key = 0; key < kFilterItems; ++key) {
+    for (uint64_t i = 0; i < kHeadTotal / 4; ++i) delta.Add(key, 4);
+    truth.Update(key, kHeadTotal);
+  }
+  ASSERT_TRUE(delta.misses().empty()) << "every key should be a head key";
+  // Heavy fresh keys take over the filter while the delta is open.
+  for (item_t key = kFilterItems; key < 3 * kFilterItems; ++key) {
+    sketch.Update(key, 200);
+    truth.Update(key, 200);
+  }
+  std::vector<item_t> evicted;
+  for (item_t key = 0; key < kFilterItems; ++key) {
+    if (sketch.filter().Find(key) < 0) evicted.push_back(key);
+  }
+  ASSERT_GE(evicted.size(), kFilterItems / 2) << "eviction premise broken";
+
+  const ASketchStats before = sketch.stats();
+  ASSERT_FALSE(sketch.ApplyDelta(delta).has_value());
+  const ASketchStats& after = sketch.stats();
+  // One insertion per evicted total, plus the writeback of each
+  // exchange those insertions win.
+  EXPECT_EQ(after.sketch_updates - before.sketch_updates,
+            evicted.size() +
+                (after.exchange_writebacks - before.exchange_writebacks));
+  for (item_t key : evicted) {
+    const wide_count_t exact = truth.Count(key);
+    const wide_count_t estimate = sketch.Estimate(key);
+    EXPECT_GE(estimate, exact) << "key " << key;
+    EXPECT_LE(estimate, exact + kHeadTotal / 2) << "key " << key;
+  }
+  EXPECT_EQ(after.filtered_weight + after.sketch_weight, truth.Total());
+}
+
 // Head drift race 2: a key that was not in the snapshot becomes
 // filter-resident before the delta lands. Its tuples wait in the miss
 // list and meet the live filter inside UpdateBatch, so they join its
@@ -234,8 +281,8 @@ TEST(DeltaBatchTest, LateFilterAdmissionAbsorbsMissesExactly) {
 // ---------------------------------------------------------------------
 // Known-miss block path. The reference is ApplyDelta's walk spelled
 // with public calls: each head total through Update (a resident key
-// aggregates, an evicted one takes the miss path; with the sampler off
-// that is exactly ApplyDelta's first step), then the misses through
+// aggregates, an evicted one takes the miss path; that is exactly
+// ApplyDelta's first step), then the misses through
 // UpdateBatch. Both owners start equal, so each delta's head snapshot
 // holds for both.
 
@@ -266,15 +313,13 @@ uint64_t FeedBoth(Owner& block, Owner& walk, std::span<const Tuple> stream,
   return block.stats().block_updates - before;
 }
 
-/// Serialized filter, sketch and stats, plus the unserialized
-/// sampled_skips, must match.
+/// Serialized filter, sketch and stats must match.
 void ExpectSameState(const Owner& block, const Owner& walk) {
   BinaryWriter block_bytes;
   BinaryWriter walk_bytes;
   ASSERT_TRUE(block.SerializeTo(block_bytes));
   ASSERT_TRUE(walk.SerializeTo(walk_bytes));
   EXPECT_EQ(block_bytes.buffer(), walk_bytes.buffer());
-  EXPECT_EQ(block.stats().sampled_skips, walk.stats().sampled_skips);
 }
 
 ASketchConfig BlockConfig(uint32_t width) {
@@ -339,23 +384,6 @@ TEST(DeltaBatchBlockPathTest, FilterNotFullTakesTheWalk) {
   for (item_t key = 100; key < 2100; ++key) misses.push_back(Tuple{key, 1});
   EXPECT_EQ(FeedBoth(block, walk, misses, misses.size()), 0u);
   EXPECT_TRUE(block.filter().Full());
-  ExpectSameState(block, walk);
-}
-
-// The tail sampler draws per miss inside the walk; the block path
-// would skip the draws.
-TEST(DeltaBatchBlockPathTest, ActiveSamplerTakesTheWalk) {
-  Owner block = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
-  Owner walk = MakeASketchCountMin<RelaxedHeapFilter>(BlockConfig(8));
-  for (Owner* owner : {&block, &walk}) {
-    for (item_t key = 0; key < 32; ++key) owner->Update(key, 1 << 24);
-    owner->SetTailSamplePermille(500);
-    owner->SeedTailSampler(77);
-  }
-  std::vector<Tuple> stream = MixedWeightStream(1.1, 3);
-  for (Tuple& t : stream) t.key += 32;  // the head keys stay untouched
-  EXPECT_EQ(FeedBoth(block, walk, stream), 0u);
-  EXPECT_GT(block.stats().sampled_skips, 0u);
   ExpectSameState(block, walk);
 }
 

@@ -301,29 +301,6 @@ TEST(NetDeltaIngestTest, SnapshotRoundTripsDeltaIngestedState) {
   }
 }
 
-// Sampling happens in one place, the owners' MissPositive: it elides
-// most sketch inserts, while the split ledgers still book every tuple's
-// true (unscaled) weight.
-TEST(NetDeltaIngestTest, SampledIngestBooksTrueMass) {
-  const std::vector<Tuple> payload = PayloadTuples(47);
-  uint64_t true_mass = 0;
-  for (const Tuple& t : payload) true_mass += t.value;
-  uint64_t sketch_updates[2] = {0, 0};
-  for (const double rate : {1.0, 0.1}) {
-    ShardSetOptions options = BaseOptions(SketchBackend::kCountMin);
-    options.sample_rate = rate;
-    ShardSet shards(options);
-    shards.Ingest(payload);
-    shards.Drain();
-    const WireStats stats = shards.GetStats();
-    EXPECT_EQ(stats.filtered_weight + stats.sketch_weight, true_mass)
-        << "rate " << rate;
-    sketch_updates[rate < 1.0] = stats.sketch_updates;
-  }
-  EXPECT_LT(2 * sketch_updates[1], sketch_updates[0])
-      << "sampling at 0.1 should elide most sketch inserts";
-}
-
 // The TSan target: decode threads split frames into deltas and flush
 // them per frame, as the server does, while a reader hammers the
 // lock-free query paths. Ends with an exactness check on applied counts

@@ -302,8 +302,10 @@ bool ParseBuildFlags(int argc, char** argv, int first,
     if (flag == "--bytes") {
       flags->config.total_bytes = parsed;
     } else if (flag == "--width") {
+      if (parsed > UINT32_MAX) return false;
       flags->config.width = static_cast<uint32_t>(parsed);
     } else if (flag == "--filter") {
+      if (parsed > UINT32_MAX) return false;
       flags->config.filter_items = static_cast<uint32_t>(parsed);
     } else if (flag == "--seed") {
       flags->config.seed = parsed;
@@ -311,7 +313,7 @@ bool ParseBuildFlags(int argc, char** argv, int first,
       if (parsed == 0) return false;
       flags->every = parsed;
     } else if (allow_checkpoint_flags && flag == "--retain") {
-      if (parsed == 0) return false;
+      if (parsed == 0 || parsed > UINT32_MAX) return false;
       flags->retain = parsed;
     } else if (allow_serve_flags && flag == "--port") {
       if (parsed > 65535) return false;

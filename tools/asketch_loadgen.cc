@@ -308,10 +308,10 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--ack-every") {
-      if (!ParseU64(value(), &n) || n < 1) return Usage();
+      if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
       config.client.ack_every = static_cast<uint32_t>(n);
     } else if (arg == "--window") {
-      if (!ParseU64(value(), &n)) return Usage();
+      if (!ParseU64(value(), &n) || n > UINT32_MAX) return Usage();
       config.client.max_outstanding_acks = static_cast<uint32_t>(n);
     } else if (arg == "--mode") {
       const char* v = value();

@@ -5,8 +5,7 @@
 //            [--filter F] [--seed S] [--prefix PFX] [--retain R]
 //            [--recover] [--checkpoint-interval-ms MS]
 //            [--metrics-port MP] [--queue-batches Q]
-//            [--overload inline|shed] [--sample-rate R]
-//            [--adaptive-sampling] [--max-connections C]
+//            [--overload inline|shed] [--max-connections C]
 //            [--idle-timeout-ms MS]
 //
 // Binds 127.0.0.1:P (0 = ephemeral) and announces the bound port on
@@ -60,7 +59,6 @@ int Usage() {
       "                [--filter F] [--seed S]\n"
       "                [--max-connections C] [--idle-timeout-ms MS]\n"
       "                [--queue-batches Q] [--overload inline|shed]\n"
-      "                [--sample-rate R] [--adaptive-sampling]\n"
       "                [--prefix PFX] [--retain R] [--recover]\n"
       "                [--checkpoint-interval-ms MS] [--metrics-port MP]\n"
       "\n"
@@ -84,12 +82,6 @@ int Usage() {
       "  --queue-batches Q   bounded per-shard queue length (default "
       "64)\n"
       "  --overload POLICY   inline (default) or shed\n"
-      "  --sample-rate R     tail-update sampling rate in (0, 1]\n"
-      "                      (default 1.0 = every update; below 1.0 the\n"
-      "                      sketch tail becomes unbiased, not one-sided;\n"
-      "                      the filter head stays exact)\n"
-      "  --adaptive-sampling start at rate 1.0 and back off toward\n"
-      "                      --sample-rate only under queue pressure\n"
       "\n"
       "persistence:\n"
       "  --prefix PFX        snapshot store prefix (default: persistence "
@@ -180,16 +172,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue-batches") {
       if (!ParseU64(value(), &n) || n < 1) return Usage();
       options.shards.max_queue_batches = n;
-    } else if (arg == "--sample-rate") {
-      const char* v = value();
-      if (v == nullptr || *v == '\0') return Usage();
-      errno = 0;
-      char* end = nullptr;
-      const double rate = std::strtod(v, &end);
-      if (errno != 0 || end == nullptr || *end != '\0') return Usage();
-      options.shards.sample_rate = rate;  // range-checked by Validate()
-    } else if (arg == "--adaptive-sampling") {
-      options.shards.adaptive_sampling = true;
     } else if (arg == "--overload") {
       const char* v = value();
       if (v == nullptr) return Usage();

@@ -108,6 +108,15 @@ for case in "--filter 4294967297" "--retain 4294967297" \
   [ "$status" -eq 2 ] \
     || fail "asketchd $case: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
 done
+# The same for the loadgen's 32-bit flags; it checks them before it
+# connects, so no server is needed.
+for case in "--ack-every 4294967297" "--window 4294967296"; do
+  # shellcheck disable=SC2086  # split "flag value" into two arguments
+  timeout 10 "$LOADGEN" --port 1 $case >"$WORK/flag.log" 2>&1
+  status=$?
+  [ "$status" -eq 2 ] \
+    || fail "asketch_loadgen $case: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
+done
 echo "oversized 32-bit flag values rejected with usage"
 
 run_smoke countmin

@@ -12,7 +12,9 @@
 #      its usage output is mentioned somewhere in the user-facing docs
 #      (a flag added without documentation fails here);
 #   5. the core documentation set exists — a renamed or deleted page
-#      fails instead of silently orphaning its inbound references.
+#      fails instead of silently orphaning its inbound references;
+#   6. every tool's --help exits nonzero and creates no file in its
+#      working directory.
 # The deeper doc pins — PROTOCOL.md constants/opcodes and the
 # OPERATIONS.md metric table — are compiled tests (net_protocol_test,
 # docs_operations_test); this script covers what grep can.
@@ -46,25 +48,41 @@ for file in "$REPO_ROOT"/*.md "$REPO_ROOT"/docs/*.md; do
 done
 
 # ----------------------------------------------------- tool usage texts
-# Every tool answers --help (an unrecognized flag) with its usage text
-# and a prompt nonzero exit. Never invoke a tool bare here: asketchd
-# with no arguments starts a server and blocks.
-usage_of() {
-  "$1" --help 2>&1
-  true
-}
+# Every tool must answer --help (an unrecognized flag) with its usage
+# text and a prompt nonzero exit, and must leave its working directory
+# as it found it. Each tool runs in its own empty directory, so one that
+# takes --help for an output path fails here. Never invoke a tool bare:
+# asketchd with no arguments starts a server and blocks.
+HELP_DIR=$(mktemp -d)
+trap 'rm -rf "$HELP_DIR"' EXIT
+ALL_USAGE=""
+CLI_USAGE=""
 for tool in asketch_cli asketchd asketch_loadgen make_stream \
             asketch_chaosproxy; do
   if [ ! -x "$BUILD_DIR/tools/$tool" ]; then
     echo "FAIL missing binary $BUILD_DIR/tools/$tool (build tools first)"
     exit 1
   fi
+  bin="$(cd "$BUILD_DIR/tools" && pwd)/$tool"
+  mkdir "$HELP_DIR/$tool"
+  usage=$(cd "$HELP_DIR/$tool" && timeout 10 "$bin" --help 2>&1)
+  status=$?
+  if [ "$status" -eq 0 ]; then
+    echo "FAIL $tool --help exits 0"
+    fail=1
+  elif [ "$status" -eq 124 ]; then
+    echo "FAIL $tool --help did not exit within 10 s"
+    fail=1
+  fi
+  created=$(ls -A "$HELP_DIR/$tool")
+  if [ -n "$created" ]; then
+    echo "FAIL $tool --help created files in its working directory:" \
+         $created
+    fail=1
+  fi
+  ALL_USAGE+="$usage"$'\n'
+  [ "$tool" = asketch_cli ] && CLI_USAGE=$usage
 done
-ALL_USAGE=$(for t in asketch_cli asketchd asketch_loadgen make_stream \
-                     asketch_chaosproxy; do
-              usage_of "$BUILD_DIR/tools/$t"
-            done)
-CLI_USAGE=$(usage_of "$BUILD_DIR/tools/asketch_cli")
 
 # ------------------------------------------------- asketch_cli subcmds
 # `asketch_cli foo` in docs (prose or fenced code) names a subcommand.

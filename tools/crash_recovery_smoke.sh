@@ -27,6 +27,23 @@ STREAM="$WORK/stream.ask"
 "$MAKE_STREAM" "$STREAM" --n 30000000 --m 200000 --skew 1.2 --seed 11 \
   || fail "make_stream"
 
+# 32-bit flags: a value above UINT32_MAX is a usage error (exit 2), not
+# a silent truncation (--width 4294967297 would build a 1-row sketch).
+for case in "build $STREAM $WORK/flag.as --width 4294967297" \
+            "build $STREAM $WORK/flag.as --filter 4294967297" \
+            "checkpoint $STREAM $WORK/flag/ck --retain 4294967297"; do
+  # shellcheck disable=SC2086  # split the case into its arguments
+  "$CLI" $case >"$WORK/flag.log" 2>&1
+  status=$?
+  [ "$status" -eq 2 ] \
+    || fail "asketch_cli $case: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
+done
+"$MAKE_STREAM" "$WORK/flag.ask" --n 10 --m 4294967297 >"$WORK/flag.log" 2>&1
+status=$?
+[ "$status" -eq 2 ] \
+  || fail "make_stream --m 4294967297: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
+echo "oversized 32-bit flag values rejected with usage"
+
 CKPT_FLAGS=(--bytes 131072 --width 8 --filter 32 --seed 3 --every 1000000)
 
 # Reference: clean, uninterrupted checkpointed run.

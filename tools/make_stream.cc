@@ -6,6 +6,8 @@
 // Either a raw Zipf spec (--n/--m/--skew) or one of the simulated
 // real-world trace shapes (--trace, optionally scaled with --scale).
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,22 +19,34 @@
 
 namespace {
 
-void Usage() {
+/// Prints the usage text; returns the usage exit status.
+int Usage() {
   std::fprintf(
       stderr,
       "usage: make_stream <out.ask> [--n TUPLES] [--m DISTINCT]\n"
       "                   [--skew Z] [--seed S]\n"
       "                   [--trace ip|kosarak] [--scale X]\n");
+  return 2;
+}
+
+/// Whole-string base-10 parse; false on junk, overflow or an empty value.
+bool ParseU64(const char* text, uint64_t* out) {
+  if (*text == '\0') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  *out = value;
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace asketch;
-  if (argc < 2) {
-    Usage();
-    return 2;
-  }
+  // An output path that looks like a flag (--help included) is a usage
+  // error, not a file to create.
+  if (argc < 2 || argv[1][0] == '-') return Usage();
   const std::string out_path = argv[1];
   StreamSpec spec;
   spec.stream_size = 1'000'000;
@@ -44,22 +58,24 @@ int main(int argc, char** argv) {
   for (int i = 2; i + 1 < argc; i += 2) {
     const std::string flag = argv[i];
     const char* value = argv[i + 1];
+    uint64_t n = 0;
     if (flag == "--n") {
-      spec.stream_size = std::strtoull(value, nullptr, 10);
+      if (!ParseU64(value, &n)) return Usage();
+      spec.stream_size = n;
     } else if (flag == "--m") {
-      spec.num_distinct =
-          static_cast<uint32_t>(std::strtoull(value, nullptr, 10));
+      if (!ParseU64(value, &n) || n > UINT32_MAX) return Usage();
+      spec.num_distinct = static_cast<uint32_t>(n);
     } else if (flag == "--skew") {
       spec.skew = std::atof(value);
     } else if (flag == "--seed") {
-      spec.seed = std::strtoull(value, nullptr, 10);
+      if (!ParseU64(value, &n)) return Usage();
+      spec.seed = n;
     } else if (flag == "--trace") {
       trace = value;
     } else if (flag == "--scale") {
       trace_scale = std::atof(value);
     } else {
-      Usage();
-      return 2;
+      return Usage();
     }
   }
   if (trace == "ip") {
