@@ -28,13 +28,15 @@
 // Payload type tag registry (each summary class mirrors its tag as
 // `kSnapshotPayloadType`; keep this list authoritative):
 //
-//    1 CountMin            7 DyadicCountMin
+//    1 CountMin            7 reserved (retired DyadicCountMin)
 //    2 CountSketch         8 VectorFilter
 //    3 Fcm                 9 StrictHeapFilter
 //    4 MisraGries         10 RelaxedHeapFilter
 //    5 SpaceSaving        11 StreamSummaryFilter
-//    6 HolisticUdaf       12 WindowedASketch
+//    6 HolisticUdaf       12 reserved (retired WindowedASketch)
 //                         13 SalsaCountMin
+//   Reserved tags are never reused, so a blob written under one still
+//   fails to load instead of being read as another type.
 //   ASketch<F, S> composes 0x41000000 | (F's tag << 8) | S's tag.
 //   Application formats (e.g. asketch_cli's checkpoint) use tags with a
 //   nonzero top byte outside 0x41.

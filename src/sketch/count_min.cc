@@ -371,24 +371,6 @@ std::optional<std::string> CountMin::MergeFrom(const CountMin& other) {
   return std::nullopt;
 }
 
-wide_count_t CountMin::InnerProductEstimate(const CountMin& other) const {
-  ASKETCH_CHECK(CompatibleWith(other));
-  wide_count_t best = ~wide_count_t{0};
-  for (uint32_t row = 0; row < config_.width; ++row) {
-    unsigned __int128 dot = 0;
-    for (uint32_t b = 0; b < config_.depth; ++b) {
-      dot += static_cast<unsigned __int128>(Cell(row, b)) *
-             other.Cell(row, b);
-    }
-    const wide_count_t clamped =
-        dot > static_cast<unsigned __int128>(~wide_count_t{0})
-            ? ~wide_count_t{0}
-            : static_cast<wide_count_t>(dot);
-    best = std::min(best, clamped);
-  }
-  return best;
-}
-
 bool CountMin::SerializeTo(BinaryWriter& writer) const {
   writer.PutU32(kCountMinMagic);
   writer.PutU32(config_.width);

@@ -259,13 +259,6 @@ class CountMin {
   /// an error message on an incompatible configuration.
   std::optional<std::string> MergeFrom(const CountMin& other);
 
-  /// Estimates the inner product of the two summarized frequency vectors
-  /// Σ_k f_this(k)·f_other(k) — the classic sketch join-size estimator
-  /// (min over rows of the row dot products; never an under-estimate on
-  /// strict streams). The sketches must be CompatibleWith each other;
-  /// CHECK-fails otherwise.
-  wide_count_t InnerProductEstimate(const CountMin& other) const;
-
   /// Writes config + cells; hash functions are reconstructed from the
   /// seed on load.
   bool SerializeTo(BinaryWriter& writer) const;

@@ -2,18 +2,14 @@
 //
 // Concrete sketches (CountMin, CountSketch, Fcm, ...) expose a non-virtual
 // hot-path API and are composed through templates, so updates and queries
-// inline fully. `FrequencyEstimator` is a thin runtime-polymorphic facade
-// for code that wants to hold heterogeneous estimators (the examples do);
-// `EstimatorAdapter<T>` wraps any concrete type into it.
+// inline fully. The concept below is the contract ASketch's sketch
+// parameter is constrained on.
 
 #ifndef ASKETCH_SKETCH_FREQUENCY_ESTIMATOR_H_
 #define ASKETCH_SKETCH_FREQUENCY_ESTIMATOR_H_
 
 #include <concepts>
 #include <cstddef>
-#include <memory>
-#include <string>
-#include <utility>
 
 #include "src/common/types.h"
 
@@ -31,55 +27,6 @@ concept FrequencyEstimatorType =
       { ct.MemoryUsageBytes() } -> std::convertible_to<size_t>;
       { t.Reset() };
     };
-
-/// Runtime-polymorphic view of a frequency estimator.
-class FrequencyEstimator {
- public:
-  virtual ~FrequencyEstimator() = default;
-
-  /// Applies tuple (key, delta) to the summary.
-  virtual void Update(item_t key, delta_t delta) = 0;
-
-  /// Point query: approximate frequency of `key`.
-  virtual count_t Estimate(item_t key) const = 0;
-
-  /// Total memory footprint of the summary in bytes.
-  virtual size_t MemoryUsageBytes() const = 0;
-
-  /// Clears all state, keeping configuration and hash functions.
-  virtual void Reset() = 0;
-
-  /// Human-readable name ("CountMin", "ASketch<RelaxedHeap,CountMin>", ...).
-  virtual std::string Name() const = 0;
-};
-
-/// Wraps a concrete estimator into the virtual interface.
-template <FrequencyEstimatorType T>
-class EstimatorAdapter final : public FrequencyEstimator {
- public:
-  explicit EstimatorAdapter(T impl, std::string name)
-      : impl_(std::move(impl)), name_(std::move(name)) {}
-
-  void Update(item_t key, delta_t delta) override { impl_.Update(key, delta); }
-  count_t Estimate(item_t key) const override { return impl_.Estimate(key); }
-  size_t MemoryUsageBytes() const override { return impl_.MemoryUsageBytes(); }
-  void Reset() override { impl_.Reset(); }
-  std::string Name() const override { return name_; }
-
-  T& impl() { return impl_; }
-  const T& impl() const { return impl_; }
-
- private:
-  T impl_;
-  std::string name_;
-};
-
-/// Convenience factory: wraps `impl` into a heap-allocated adapter.
-template <FrequencyEstimatorType T>
-std::unique_ptr<FrequencyEstimator> MakeEstimator(T impl, std::string name) {
-  return std::make_unique<EstimatorAdapter<T>>(std::move(impl),
-                                               std::move(name));
-}
 
 }  // namespace asketch
 

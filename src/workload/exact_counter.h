@@ -1,14 +1,11 @@
 // Exact ground-truth counting for accuracy evaluation.
 //
-// Dense mode (flat array) for the synthetic generators whose keys live in
-// [0, num_distinct); a hash-map mode is available for arbitrary 32-bit
-// keys (used by examples that delete items or feed external data).
+// A flat array over the synthetic generators' key domain [0, num_distinct).
 
 #ifndef ASKETCH_WORKLOAD_EXACT_COUNTER_H_
 #define ASKETCH_WORKLOAD_EXACT_COUNTER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/check.h"
@@ -56,30 +53,6 @@ class ExactCounter {
 
  private:
   std::vector<wide_count_t> counts_;
-  wide_count_t total_ = 0;
-};
-
-/// Exact counter over arbitrary 32-bit keys (hash-map backed).
-class SparseExactCounter {
- public:
-  void Update(item_t key, delta_t delta = 1) {
-    const int64_t next =
-        static_cast<int64_t>(counts_[key]) + delta;
-    ASKETCH_CHECK(next >= 0);
-    counts_[key] = static_cast<wide_count_t>(next);
-    total_ = static_cast<wide_count_t>(static_cast<int64_t>(total_) + delta);
-  }
-
-  wide_count_t Count(item_t key) const {
-    const auto it = counts_.find(key);
-    return it == counts_.end() ? 0 : it->second;
-  }
-
-  wide_count_t Total() const { return total_; }
-  size_t NumDistinct() const { return counts_.size(); }
-
- private:
-  std::unordered_map<item_t, wide_count_t> counts_;
   wide_count_t total_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "src/workload/stream_generator.h"
 
+#include <cmath>
 #include <numeric>
 #include <sstream>
 
@@ -10,7 +11,9 @@ namespace asketch {
 std::optional<std::string> StreamSpec::Validate() const {
   if (stream_size < 1) return std::string("stream_size must be >= 1");
   if (num_distinct < 1) return std::string("num_distinct must be >= 1");
-  if (skew < 0) return std::string("skew must be >= 0");
+  if (!(skew >= 0) || !std::isfinite(skew)) {
+    return std::string("skew must be finite and >= 0");
+  }
   return std::nullopt;
 }
 

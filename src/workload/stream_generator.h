@@ -34,6 +34,7 @@ struct StreamSpec {
   double skew = 1.5;
   uint64_t seed = 7;
 
+  /// Error message if a field is out of range (skew must be finite).
   std::optional<std::string> Validate() const;
 
   std::string ToString() const;

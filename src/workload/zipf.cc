@@ -21,7 +21,7 @@ double Helper2(double x) {
 ZipfDistribution::ZipfDistribution(uint64_t num_elements, double skew)
     : num_elements_(num_elements), skew_(skew) {
   ASKETCH_CHECK(num_elements >= 1);
-  ASKETCH_CHECK(skew >= 0);
+  ASKETCH_CHECK(skew >= 0 && std::isfinite(skew));
   if (skew_ > 0) {
     h_integral_x1_ = HIntegral(1.5) - 1;
     h_integral_num_elements_ =

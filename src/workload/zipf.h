@@ -20,7 +20,7 @@ namespace asketch {
 /// Samples ranks in [1, num_elements] with P(r) ∝ r^{-skew}.
 class ZipfDistribution {
  public:
-  /// Distribution over [1, num_elements] with the given skew (>= 0).
+  /// Distribution over [1, num_elements] with the given finite skew (>= 0).
   ZipfDistribution(uint64_t num_elements, double skew);
 
   /// Draws one rank using `rng`.

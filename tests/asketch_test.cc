@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/sketch/holistic_udaf.h"
 #include "src/workload/exact_counter.h"
 #include "src/workload/stream_generator.h"
 
@@ -46,6 +47,14 @@ class TransparentSketch {
 };
 
 static_assert(FrequencyEstimatorType<TransparentSketch>);
+
+// Every concrete estimator, and ASketch itself, satisfies the concept.
+static_assert(FrequencyEstimatorType<CountMin>);
+static_assert(FrequencyEstimatorType<CountSketch>);
+static_assert(FrequencyEstimatorType<Fcm>);
+static_assert(FrequencyEstimatorType<HolisticUdaf>);
+static_assert(FrequencyEstimatorType<ASketch<RelaxedHeapFilter, CountMin>>);
+static_assert(FrequencyEstimatorType<ASketch<VectorFilter, Fcm>>);
 
 using TestASketch = ASketch<VectorFilter, TransparentSketch>;
 

@@ -12,13 +12,11 @@
 #include "src/common/random.h"
 #include "src/common/snapshot.h"
 #include "src/core/asketch.h"
-#include "src/core/windowed_asketch.h"
 #include "src/filter/heap_filter.h"
 #include "src/filter/stream_summary_filter.h"
 #include "src/filter/vector_filter.h"
 #include "src/sketch/count_min.h"
 #include "src/sketch/count_sketch.h"
-#include "src/sketch/dyadic_count_min.h"
 #include "src/sketch/fcm.h"
 #include "src/sketch/holistic_udaf.h"
 #include "src/sketch/misra_gries.h"
@@ -112,15 +110,6 @@ TEST(CorruptionFuzzTest, HolisticUdaf) {
   ExpectCorruptionRobust(udaf, 106);
 }
 
-TEST(CorruptionFuzzTest, DyadicCountMin) {
-  DyadicCountMinConfig config;
-  config.domain_bits = 16;
-  config.total_bytes = 32 * 1024;
-  DyadicCountMin sketch(config);
-  for (item_t key = 0; key < 2000; ++key) sketch.Update(key % 5000, 1);
-  ExpectCorruptionRobust(sketch, 107);
-}
-
 TEST(CorruptionFuzzTest, VectorFilter) {
   VectorFilter filter(32);
   for (item_t key = 0; key < 32; ++key) filter.Insert(key, key + 1, key);
@@ -153,16 +142,6 @@ TEST(CorruptionFuzzTest, ASketch) {
   auto sketch = MakeASketchCountMin<RelaxedHeapFilter>(config);
   for (item_t key = 0; key < 5000; ++key) sketch.Update(key % 400, 1);
   ExpectCorruptionRobust(sketch, 112);
-}
-
-TEST(CorruptionFuzzTest, WindowedASketch) {
-  ASketchConfig config;
-  config.total_bytes = 16 * 1024;
-  config.width = 4;
-  config.filter_items = 32;
-  WindowedASketch windowed(/*window_size=*/3000, config);
-  for (item_t key = 0; key < 10000; ++key) windowed.Update(key % 400, 1);
-  ExpectCorruptionRobust(windowed, 113);
 }
 
 }  // namespace

@@ -63,16 +63,5 @@ TEST(ExactCounterTest, CountOfRank) {
   EXPECT_EQ(counter.CountOfRank(99), 0u);
 }
 
-TEST(SparseExactCounterTest, CountsArbitraryKeys) {
-  SparseExactCounter counter;
-  counter.Update(~0u, 4);
-  counter.Update(0, 1);
-  EXPECT_EQ(counter.Count(~0u), 4u);
-  EXPECT_EQ(counter.Count(0), 1u);
-  EXPECT_EQ(counter.Count(5), 0u);
-  EXPECT_EQ(counter.NumDistinct(), 2u);
-  EXPECT_EQ(counter.Total(), 5u);
-}
-
 }  // namespace
 }  // namespace asketch

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/asketch.h"
-#include "src/sketch/dyadic_count_min.h"
 #include "src/sketch/holistic_udaf.h"
 #include "src/sketch/space_saving.h"
 #include "src/workload/stream_generator.h"
@@ -336,28 +335,6 @@ TEST(SerializationTest, ASketchRoundTripThroughFile) {
     EXPECT_EQ(restored->Estimate(1), as.Estimate(1));
   }
   std::remove(path.c_str());
-}
-
-TEST(SerializationTest, DyadicCountMinRoundTrip) {
-  DyadicCountMinConfig config;
-  config.domain_bits = 16;
-  config.width = 4;
-  config.total_bytes = 64 * 1024;
-  config.seed = 9;
-  DyadicCountMin sketch(config);
-  for (const Tuple& t : TestStream(20000)) {
-    sketch.Update(t.key % (1 << 16), t.value);
-  }
-  BinaryWriter writer;
-  ASSERT_TRUE(sketch.SerializeTo(writer));
-  BinaryReader reader(writer.buffer());
-  auto restored = DyadicCountMin::DeserializeFrom(reader);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->Total(), sketch.Total());
-  for (item_t lo = 0; lo < (1 << 16); lo += 4099) {
-    const item_t hi = std::min<item_t>(lo + 1000, (1 << 16) - 1);
-    EXPECT_EQ(restored->RangeSum(lo, hi), sketch.RangeSum(lo, hi));
-  }
 }
 
 TEST(SerializationTest, CorruptedInputsYieldNullopt) {

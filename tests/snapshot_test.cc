@@ -3,6 +3,7 @@
 
 #include "src/common/snapshot.h"
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -13,8 +14,12 @@
 #include "src/common/crc32c.h"
 #include "src/common/fault_injection.h"
 #include "src/common/random.h"
+#include "src/core/asketch.h"
 #include "src/sketch/count_min.h"
 #include "src/sketch/count_sketch.h"
+#include "src/sketch/holistic_udaf.h"
+#include "src/sketch/misra_gries.h"
+#include "src/sketch/space_saving.h"
 
 namespace asketch {
 namespace {
@@ -123,6 +128,61 @@ TEST(SnapshotEnvelopeTest, TypedRoundTripAndCrossTypeRejection) {
   // the envelope's type tag, before any deserialization runs.
   EXPECT_FALSE(
       FromSnapshot<CountSketch>(snapshot.data(), snapshot.size()).has_value());
+}
+
+template <typename T>
+void ExpectDoesNotLoad(const std::vector<uint8_t>& envelope) {
+  EXPECT_FALSE(FromSnapshot<T>(envelope.data(), envelope.size()).has_value())
+      << "payload type " << T::kSnapshotPayloadType;
+}
+
+// Every type that registers a snapshot payload tag.
+template <typename... Ts>
+struct PayloadTypes {
+  static constexpr std::array<uint32_t, sizeof...(Ts)> kTags = {
+      Ts::kSnapshotPayloadType...};
+
+  /// Expects no registered type to load `envelope`.
+  static void ExpectNoneLoads(const std::vector<uint8_t>& envelope) {
+    (ExpectDoesNotLoad<Ts>(envelope), ...);
+  }
+};
+
+using RegisteredPayloadTypes =
+    PayloadTypes<CountMin, CountSketch, Fcm, MisraGries, SpaceSaving,
+                 HolisticUdaf, VectorFilter, StrictHeapFilter,
+                 RelaxedHeapFilter, StreamSummaryFilter, SalsaCountMin,
+                 ASketch<RelaxedHeapFilter, CountMin>>;
+
+// Tags of retired payload types (snapshot.h's registry); never reused.
+constexpr std::array<uint32_t, 2> kReservedPayloadTags = {7, 12};
+
+constexpr bool PayloadTagsDistinctAndUnreserved() {
+  const auto& tags = RegisteredPayloadTypes::kTags;
+  for (size_t i = 0; i < tags.size(); ++i) {
+    for (const uint32_t reserved : kReservedPayloadTags) {
+      if (tags[i] == reserved) return false;
+    }
+    for (size_t j = i + 1; j < tags.size(); ++j) {
+      if (tags[i] == tags[j]) return false;
+    }
+  }
+  return true;
+}
+static_assert(PayloadTagsDistinctAndUnreserved());
+
+TEST(SnapshotEnvelopeTest, ReservedTagsLoadAsNoType) {
+  CountMin sketch(CountMinConfig::FromSpaceBudget(4096, 4, 99));
+  for (item_t key = 0; key < 500; ++key) sketch.Update(key, 1);
+  BinaryWriter writer;
+  ASSERT_TRUE(sketch.SerializeTo(writer));
+  for (const uint32_t tag : kReservedPayloadTags) {
+    SCOPED_TRACE(tag);
+    const auto envelope = WrapSnapshot(tag, writer.buffer());
+    ASSERT_TRUE(
+        UnwrapSnapshot(envelope.data(), envelope.size(), tag).has_value());
+    RegisteredPayloadTypes::ExpectNoneLoads(envelope);
+  }
 }
 
 TEST(WriteFileAtomicTest, WritesAndKeepsOldContentOnFailure) {

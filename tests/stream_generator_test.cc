@@ -1,5 +1,6 @@
 #include "src/workload/stream_generator.h"
 
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -27,6 +28,13 @@ TEST(StreamSpecTest, Validates) {
   spec = SmallSpec();
   spec.skew = -0.1;
   EXPECT_TRUE(spec.Validate().has_value());
+  // A non-finite skew would stall or abort the Zipf sampler.
+  for (const double skew : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()}) {
+    spec.skew = skew;
+    EXPECT_TRUE(spec.Validate().has_value()) << skew;
+  }
 }
 
 TEST(StreamGeneratorTest, DeterministicForSameSpec) {

@@ -364,6 +364,10 @@ int main(int argc, char** argv) {
   spec.num_distinct = config.keys;
   spec.skew = config.skew;
   spec.seed = config.seed;
+  if (const auto error = spec.Validate()) {
+    std::fprintf(stderr, "invalid stream: %s\n", error->c_str());
+    return Usage();
+  }
   const std::vector<Tuple> tuples = GenerateStream(spec);
 
   std::vector<WorkerResult> results(config.connections);

@@ -118,6 +118,16 @@ for case in "--ack-every 4294967297" "--window 4294967296"; do
     || fail "asketch_loadgen $case: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
 done
 echo "oversized 32-bit flag values rejected with usage"
+# A non-finite skew is a usage error before the stream is generated;
+# the Zipf sampler would abort on NaN and stall on inf (hence timeout).
+for skew in nan inf; do
+  timeout 10 "$LOADGEN" --port 1 --tuples 10 --keys 10 --skew "$skew" \
+    >"$WORK/flag.log" 2>&1
+  status=$?
+  [ "$status" -eq 2 ] \
+    || fail "asketch_loadgen --skew $skew: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
+done
+echo "non-finite loadgen skew rejected with usage"
 
 run_smoke countmin
 run_smoke salsa

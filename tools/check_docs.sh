@@ -14,7 +14,15 @@
 #   5. the core documentation set exists — a renamed or deleted page
 #      fails instead of silently orphaning its inbound references;
 #   6. every tool's --help exits nonzero and creates no file in its
-#      working directory.
+#      working directory;
+#   7. every backticked repo path (`src/…`, `tests/…`, `tools/…`,
+#      `bench/…`, `examples/…`, `docs/…`) in the user-facing docs
+#      resolves after brace and glob expansion — to a file or directory,
+#      to a binary's source (`tools/make_stream` → make_stream.cc), or
+#      to an output directory listed in .gitignore;
+#   8. the README "Runnable examples" table and the
+#      `asketch_add_example` lines in examples/CMakeLists.txt name the
+#      same set of examples.
 # The deeper doc pins — PROTOCOL.md constants/opcodes and the
 # OPERATIONS.md metric table — are compiled tests (net_protocol_test,
 # docs_operations_test); this script covers what grep can.
@@ -136,8 +144,52 @@ for doc in README.md DESIGN.md EXPERIMENTS.md docs/ARCHITECTURE.md \
   fi
 done
 
+# ------------------------------------------------ backticked paths
+# A deleted or renamed file leaves its backticked mentions behind; this
+# catches them. One `{a,b}` group is expanded, then the result globbed.
+path_resolves() {
+  local path=$1
+  if [[ $path =~ ^(.*)\{([^{}]*)\}(.*)$ ]]; then
+    local head=${BASH_REMATCH[1]} tail=${BASH_REMATCH[3]} alt
+    local -a alts
+    IFS=, read -ra alts <<<"${BASH_REMATCH[2]}"
+    for alt in "${alts[@]}"; do
+      path_resolves "$head$alt$tail" || return 1
+    done
+    return 0
+  fi
+  compgen -G "$REPO_ROOT/$path" >/dev/null && return 0
+  compgen -G "$REPO_ROOT/$path.*" >/dev/null && return 0
+  grep -qxF -- "$path" "$REPO_ROOT/.gitignore"
+}
+for file in "${USER_DOCS[@]}"; do
+  while IFS= read -r path; do
+    if ! path_resolves "$path"; then
+      echo "FAIL stale path in ${file#"$REPO_ROOT"/}: \`$path\`"
+      fail=1
+    fi
+  done < <(grep -ohE \
+             '`(src|tests|tools|bench|examples|docs)/[A-Za-z0-9_./*{},-]*`' \
+             "$file" | tr -d '`' | sort -u)
+done
+
+# ------------------------------------------------- examples table
+# The README's example table lists exactly the examples that build.
+readme_examples=$(awk '/^Runnable examples/ {on = 1; next}
+                       on && /^\|/ {rows = 1; print; next}
+                       on && rows {exit}' "$REPO_ROOT/README.md" \
+                    | sed -n 's/^| `\([a-z_0-9]*\)` |.*/\1/p' | sort)
+built_examples=$(sed -n 's/^asketch_add_example(\([a-z_0-9]*\))$/\1/p' \
+                   "$REPO_ROOT/examples/CMakeLists.txt" | sort)
+if [ "$readme_examples" != "$built_examples" ]; then
+  echo "FAIL README example table and examples/CMakeLists.txt differ:"
+  diff <(printf '%s\n' "$readme_examples") \
+       <(printf '%s\n' "$built_examples") | sed -n 's/^[<>] /  &/p'
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs.sh: FAILED"
   exit 1
 fi
-echo "check_docs.sh: OK (links, subcommands, flags)"
+echo "check_docs.sh: OK (links, subcommands, flags, paths, examples)"

@@ -44,6 +44,23 @@ status=$?
   || fail "make_stream --m 4294967297: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
 echo "oversized 32-bit flag values rejected with usage"
 
+# Stream-shape flags: junk, non-finite or missing values are usage
+# errors (exit 2) that write no file. An unchecked NaN skew trips the
+# Zipf sampler's CHECK and an infinite one stalls it, hence the timeout.
+for case in "--n 10 --m 10 --skew abc" "--n 10 --m 10 --skew 1.5x" \
+            "--n 10 --m 10 --skew nan" "--n 10 --m 10 --skew inf" \
+            "--trace ip --scale junk" "--trace ip --scale 0" \
+            "--n 10 --m 10 --skew" "--m 10 --n"; do
+  rm -f "$WORK/shape.ask"
+  # shellcheck disable=SC2086  # split the case into its arguments
+  timeout 10 "$MAKE_STREAM" "$WORK/shape.ask" $case >"$WORK/flag.log" 2>&1
+  status=$?
+  [ "$status" -eq 2 ] \
+    || fail "make_stream $case: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
+  [ ! -e "$WORK/shape.ask" ] || fail "make_stream $case wrote a file"
+done
+echo "malformed stream-shape flags rejected with usage"
+
 CKPT_FLAGS=(--bytes 131072 --width 8 --filter 32 --seed 3 --every 1000000)
 
 # Reference: clean, uninterrupted checkpointed run.

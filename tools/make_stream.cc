@@ -7,6 +7,7 @@
 // real-world trace shapes (--trace, optionally scaled with --scale).
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +41,18 @@ bool ParseU64(const char* text, uint64_t* out) {
   return true;
 }
 
+/// Whole-string strtod parse; false on junk, overflow or an empty value.
+/// NaN and infinities parse; the caller range-checks them.
+bool ParseDouble(const char* text, double* out) {
+  if (*text == '\0') return false;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (errno != 0 || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -55,8 +68,9 @@ int main(int argc, char** argv) {
   spec.seed = 7;
   std::string trace;
   double trace_scale = 0.01;
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     const std::string flag = argv[i];
+    if (i + 1 == argc) return Usage();  // a flag with no value
     const char* value = argv[i + 1];
     uint64_t n = 0;
     if (flag == "--n") {
@@ -66,14 +80,18 @@ int main(int argc, char** argv) {
       if (!ParseU64(value, &n) || n > UINT32_MAX) return Usage();
       spec.num_distinct = static_cast<uint32_t>(n);
     } else if (flag == "--skew") {
-      spec.skew = std::atof(value);
+      // Range (finite, >= 0) is StreamSpec::Validate's job below.
+      if (!ParseDouble(value, &spec.skew)) return Usage();
     } else if (flag == "--seed") {
       if (!ParseU64(value, &n)) return Usage();
       spec.seed = n;
     } else if (flag == "--trace") {
       trace = value;
     } else if (flag == "--scale") {
-      trace_scale = std::atof(value);
+      if (!ParseDouble(value, &trace_scale) || !(trace_scale > 0) ||
+          !std::isfinite(trace_scale)) {
+        return Usage();
+      }
     } else {
       return Usage();
     }
