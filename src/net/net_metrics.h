@@ -47,10 +47,14 @@ struct NetMetrics {
                                        ///< inside flushed DeltaBatches
   obs::Counter& replayed_tuples;     ///< tuples received in UPDATE frames
                                      ///< flagged as reconnect replays
+  obs::Counter& own_write_applied;   ///< queued tuples a reading connection
+                                     ///< applied itself (read-your-writes)
   obs::Gauge& connections;           ///< currently open connections
   obs::Gauge& degraded;              ///< 1 while any shard queue overflowed
   obs::Histogram& request_ns;        ///< wall time of one non-UPDATE request
   obs::Histogram& delta_merge_ns;    ///< wall time of one ApplyDelta
+  obs::Histogram& queue_residency_ns;  ///< one delta's time in its shard
+                                       ///< queue, enqueue to apply start
   obs::Gauge& queue_depth_idle;      ///< constant-0 shard="none" placeholder
 
   static NetMetrics& Get() {
@@ -77,10 +81,12 @@ struct NetMetrics {
           r.GetCounter("asketch_net_delta_merges_total"),
           r.GetCounter("asketch_net_delta_flushed_tuples_total"),
           r.GetCounter("asketch_net_replayed_tuples_total"),
+          r.GetCounter("asketch_net_own_write_applied_total"),
           r.GetGauge("asketch_net_connections"),
           r.GetGauge("asketch_net_degraded"),
           r.GetHistogram("asketch_net_request_ns"),
           r.GetHistogram("asketch_net_delta_merge_ns"),
+          r.GetHistogram("asketch_net_queue_residency_ns"),
           r.GetGauge("asketch_net_shard_queue_depth", "shard=\"none\"")};
     }();
     return *metrics;

@@ -34,6 +34,23 @@ Server::~Server() { Stop(); }
 
 #if ASKETCH_NET_SUPPORTED
 
+struct Server::Connection {
+  explicit Connection(ShardSet& shards) : own_writes(shards) {}
+
+  bool hello_done = false;
+  /// Tuples received, replays included; the ack reports it.
+  uint64_t received = 0;
+  /// Weight shed from this connection's frames; the ack reports it.
+  uint64_t shed = 0;
+  /// The reusable UPDATE decode buffer: batches are parsed into it in
+  /// place, so steady-state ingest allocates only at a new high-water
+  /// batch size.
+  std::vector<Tuple> update_scratch;
+  /// The deltas this connection has queued and not yet seen applied.
+  /// Destroyed with the connection, which applies whatever is left.
+  OwnWrites own_writes;
+};
+
 namespace {
 
 constexpr int kSendFlags =
@@ -118,21 +135,28 @@ void Server::Stop() {
   stop_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
   if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    for (std::thread& t : connection_threads_) {
-      if (t.joinable()) t.join();
-    }
-    connection_threads_.clear();
+  for (const auto& connection : connection_threads_) {
+    connection->thread.join();
   }
+  connection_threads_.clear();
   ::close(listen_fd_);
   listen_fd_ = -1;
   shards_.Drain();
   if (store_ != nullptr) Checkpoint();
 }
 
+void Server::ReapConnections() {
+  std::erase_if(connection_threads_, [](const auto& connection) {
+    if (!connection->done.load(std::memory_order_acquire)) return false;
+    connection->thread.join();
+    return true;
+  });
+}
+
 void Server::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
+    // A finished thread keeps its stack mapped until it is joined.
+    ReapConnections();
     pollfd pfd{};
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
@@ -152,12 +176,14 @@ void Server::AcceptLoop() {
     NetMetrics::Get().connections_total.Add(1);
     NetMetrics::Get().connections.Add(1);
     open_connections_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    connection_threads_.emplace_back([this, client] {
+    auto& connection = connection_threads_.emplace_back(
+        std::make_unique<ConnectionThread>());
+    connection->thread = std::thread([this, client, c = connection.get()] {
       HandleConnection(client);
       ::close(client);
       open_connections_.fetch_sub(1, std::memory_order_relaxed);
       NetMetrics::Get().connections.Add(-1);
+      c->done.store(true, std::memory_order_release);
     });
   }
 }
@@ -166,10 +192,7 @@ void Server::HandleConnection(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   FrameDecoder decoder;
-  bool hello_done = false;
-  uint64_t received = 0;
-  uint64_t shed = 0;
-  std::vector<Tuple> update_scratch;
+  Connection connection(shards_);
   std::vector<uint8_t> buffer(64 * 1024);
   auto last_activity = std::chrono::steady_clock::now();
 
@@ -178,8 +201,7 @@ void Server::HandleConnection(int fd) {
   const auto consume = [&](size_t n) {
     decoder.Feed(buffer.data(), n);
     while (auto frame = decoder.Next()) {
-      if (!HandleFrame(fd, *frame, hello_done, received, shed,
-                       update_scratch)) {
+      if (!HandleFrame(fd, *frame, connection)) {
         return false;
       }
     }
@@ -245,9 +267,8 @@ void Server::HandleConnection(int fd) {
   ::shutdown(fd, SHUT_WR);
 }
 
-bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
-                         uint64_t& received, uint64_t& shed,
-                         std::vector<Tuple>& update_scratch) {
+bool Server::HandleFrame(int fd, const Frame& frame,
+                         Connection& connection) {
   NetMetrics& metrics = NetMetrics::Get();
   metrics.frames_total.Add(1);
   const auto fail = [&](NetStatus status, std::string_view message) {
@@ -256,7 +277,7 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
     return false;
   };
 
-  if (!hello_done) {
+  if (!connection.hello_done) {
     if (frame.opcode != Opcode::kHello) {
       return fail(NetStatus::kHelloRequired,
                   "HELLO must open every connection");
@@ -274,7 +295,7 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
                                         kProtocolVersionMax));
       return false;
     }
-    hello_done = true;
+    connection.hello_done = true;
     return SendAll(options_.io, fd, EncodeHelloResponse(
                            HelloResponse{*version, shards_.num_shards()}));
   }
@@ -287,6 +308,7 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
       // Decode into the connection's scratch vector: ParseUpdateRequest
       // clears and refills it, so capacity persists across frames and
       // steady-state ingest does no per-frame allocation.
+      std::vector<Tuple>& update_scratch = connection.update_scratch;
       if (!ParseUpdateRequest(frame.payload, &update_scratch)) {
         return fail(NetStatus::kBadFrame, "malformed UPDATE");
       }
@@ -294,12 +316,14 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
       // replay buffer against this cumulative figure, so a replayed
       // batch must advance it exactly like a first transmission. Only
       // the global metric split distinguishes the two.
-      received += update_scratch.size();
+      connection.received += update_scratch.size();
       // Without a caller-held delta state, Ingest flushes every delta
       // it builds: once the frame is handled every tuple sits in a
       // shard queue, so an ack means "queued" and nothing waits on a
-      // later frame to become visible.
-      shed += shards_.Ingest(update_scratch);
+      // later frame to become visible. The queued deltas are booked
+      // against the connection for its next read.
+      connection.shed += shards_.Ingest(update_scratch, nullptr,
+                                        &connection.own_writes);
       metrics.update_batches.Add(1);
       if (frame.is_replay()) {
         metrics.replayed_tuples.Add(update_scratch.size());
@@ -307,7 +331,9 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
         metrics.update_tuples.Add(update_scratch.size());
       }
       if (frame.want_ack()) {
-        return SendAll(options_.io, fd, EncodeUpdateAck(UpdateAck{received, shed}));
+        return SendAll(options_.io, fd,
+                       EncodeUpdateAck(
+                           UpdateAck{connection.received, connection.shed}));
       }
       return true;
     }
@@ -319,6 +345,7 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
         return fail(NetStatus::kBadFrame, "malformed QUERY");
       }
       metrics.queries.Add(1);
+      shards_.AwaitOwnWrites(connection.own_writes);
       const bool ok =
           SendAll(options_.io, fd, EncodeQueryResponse(shards_.Estimate(key)));
       metrics.request_ns.Record(static_cast<uint64_t>(
@@ -335,6 +362,7 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
         return fail(NetStatus::kBadFrame, "malformed QUERY_BATCH");
       }
       std::vector<uint64_t> estimates;
+      shards_.AwaitOwnWrites(connection.own_writes);
       shards_.EstimateBatch(keys, &estimates);
       metrics.queries.Add(keys.size());
       const bool ok = SendAll(options_.io, fd, EncodeQueryBatchResponse(estimates));
@@ -353,10 +381,12 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
       if (k == 0 || k > kMaxTopK) {
         return fail(NetStatus::kBadRequest, "k out of range");
       }
+      shards_.AwaitOwnWrites(connection.own_writes);
       return SendAll(options_.io, fd, EncodeTopKResponse(shards_.TopK(k)));
     }
 
     case Opcode::kStats: {
+      shards_.AwaitOwnWrites(connection.own_writes);
       WireStats stats = shards_.GetStats();
       if (store_ != nullptr) {
         stats.snapshot_generation = store_->LatestGeneration();
@@ -397,11 +427,9 @@ std::optional<std::string> Server::Start() {
 
 void Server::Stop() {}
 void Server::AcceptLoop() {}
+void Server::ReapConnections() {}
 void Server::HandleConnection(int) {}
-bool Server::HandleFrame(int, const Frame&, bool&, uint64_t&, uint64_t&,
-                         std::vector<Tuple>&) {
-  return false;
-}
+bool Server::HandleFrame(int, const Frame&, Connection&) { return false; }
 
 #endif  // ASKETCH_NET_SUPPORTED
 

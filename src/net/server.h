@@ -14,9 +14,15 @@
 // was adopted (matching asketch_cli's recover semantics: recovering
 // from nothing is an error, not an empty sketch).
 //
+// Each connection reads its own writes: QUERY, QUERY_BATCH, TOPK and
+// STATS first apply whatever UPDATE deltas the same connection still
+// has queued (ShardSet::AwaitOwnWrites). Other connections see them
+// once an owner applies them.
+//
 // Lifecycle: Start() binds (port 0 = ephemeral; read the bound port
 // back from port()), Stop() stops accepting, drains connection threads,
-// and cuts a final checkpoint. Both are idempotent.
+// and cuts a final checkpoint. Both are idempotent. While serving, the
+// accept loop joins connection threads that have finished.
 
 #ifndef ASKETCH_NET_SERVER_H_
 #define ASKETCH_NET_SERVER_H_
@@ -96,19 +102,24 @@ class Server {
   ShardSet& shards() { return shards_; }
 
  private:
+  /// Per-connection state, defined in server.cc.
+  struct Connection;
+
+  /// A connection's thread, and whether it has finished.
+  struct ConnectionThread {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void AcceptLoop();
+  /// Joins every connection thread that has finished.
+  void ReapConnections();
   void HandleConnection(int fd);
   /// Dispatches one decoded frame; returns false when the connection
-  /// must close. `hello_done`, `received` and `shed` are
-  /// per-connection; the connection thread is the decode thread whose
+  /// must close. The connection thread is the decode thread whose
   /// Ingest call splits each UPDATE frame into per-shard deltas and
-  /// queues them all before the next frame. `update_scratch` is the
-  /// connection's reusable UPDATE decode buffer: batches are parsed
-  /// into it in place, so steady-state ingest does one allocation per
-  /// high-water batch size instead of one per frame.
-  bool HandleFrame(int fd, const Frame& frame, bool& hello_done,
-                   uint64_t& received, uint64_t& shed,
-                   std::vector<Tuple>& update_scratch);
+  /// queues them all before the next frame.
+  bool HandleFrame(int fd, const Frame& frame, Connection& connection);
   void CheckpointLoop();
 
   ServerOptions options_;
@@ -122,8 +133,8 @@ class Server {
   std::atomic<uint32_t> open_connections_{0};
   std::thread accept_thread_;
   std::thread checkpoint_thread_;
-  std::mutex connections_mu_;  ///< guards connection_threads_
-  std::vector<std::thread> connection_threads_;
+  /// Touched by the accept thread, and by Stop() once that has joined.
+  std::vector<std::unique_ptr<ConnectionThread>> connection_threads_;
   std::mutex checkpoint_mu_;  ///< serializes Checkpoint() cuts
 };
 

@@ -225,7 +225,6 @@ ShardSet::~ShardSet() {
 
 void ShardSet::WorkerLoop(Shard& shard) {
   for (;;) {
-    std::optional<ShardDelta> item;
     {
       std::unique_lock<std::mutex> lock(shard.queue_mu);
       shard.cv_pop.wait(lock, [&] {
@@ -237,21 +236,40 @@ void ShardSet::WorkerLoop(Shard& shard) {
         return stop || !stalled_.load(std::memory_order_acquire);
       });
       if (shard.queue.empty()) return;  // only reachable when stopping
-      item.emplace(std::move(shard.queue.front()));
-      shard.queue.pop_front();
-      shard.busy = true;
-      shard.cv_push.notify_one();
     }
-    {
-      std::lock_guard<std::mutex> guard(shard.mu);
-      ApplyLocked(shard, *item);
-    }
-    {
-      std::lock_guard<std::mutex> lock(shard.queue_mu);
-      shard.busy = false;
-      if (shard.queue.empty()) shard.cv_idle.notify_all();
-    }
+    // A reader may empty the queue before this thread gets the lock;
+    // then there is nothing to apply.
+    std::lock_guard<std::mutex> guard(shard.mu);
+    ApplyQueueHeadLocked(shard);
   }
+}
+
+uint64_t ShardSet::ApplyQueueHeadLocked(Shard& shard) {
+  std::optional<QueuedDelta> item;
+  {
+    std::lock_guard<std::mutex> lock(shard.queue_mu);
+    if (shard.queue.empty()) return 0;
+    item.emplace(std::move(shard.queue.front()));
+    shard.queue.pop_front();
+    shard.busy = true;
+    shard.cv_push.notify_one();
+  }
+  NetMetrics::Get().queue_residency_ns.Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - item->queued_at)
+          .count()));
+  const uint64_t applied = ApplyLocked(shard, item->delta);
+  // Release: a session that reads its count as zero also sees the
+  // applied delta.
+  if (item->pending != nullptr) {
+    item->pending->fetch_sub(applied, std::memory_order_release);
+  }
+  {
+    std::lock_guard<std::mutex> lock(shard.queue_mu);
+    shard.busy = false;
+    if (shard.queue.empty()) shard.cv_idle.notify_all();
+  }
+  return applied;
 }
 
 uint64_t ShardSet::ApplyLocked(Shard& shard, ShardDelta& delta) {
@@ -271,7 +289,8 @@ uint64_t ShardSet::ApplyLocked(Shard& shard, ShardDelta& delta) {
   return applied;
 }
 
-uint64_t ShardSet::Submit(Shard& shard, ShardDelta delta) {
+uint64_t ShardSet::Submit(Shard& shard, ShardDelta delta,
+                          std::atomic<uint64_t>* pending) {
   NetMetrics& metrics = NetMetrics::Get();
   bool enqueued = false;
   {
@@ -287,7 +306,13 @@ uint64_t ShardSet::Submit(Shard& shard, ShardDelta delta) {
     }
     if (shard.queue.size() < options_.max_queue_batches &&
         !stop_.load(std::memory_order_acquire)) {
-      shard.queue.push_back(std::move(delta));
+      // Counted in before any popper can see the delta, so the count
+      // never goes below zero.
+      if (pending != nullptr) {
+        pending->fetch_add(delta.tuple_count(), std::memory_order_relaxed);
+      }
+      shard.queue.push_back(QueuedDelta{std::move(delta), pending,
+                                        std::chrono::steady_clock::now()});
       shard.cv_pop.notify_one();
       enqueued = true;
     }
@@ -345,16 +370,21 @@ std::shared_ptr<const SplitIndex> ShardSet::CurrentSplitIndex() {
 }
 
 uint64_t ShardSet::Ingest(std::span<const Tuple> tuples,
-                          DeltaIngestState* delta_state) {
+                          DeltaIngestState* delta_state,
+                          OwnWrites* own_writes) {
   if (delta_state == nullptr) {
     uint64_t shed = 0;
     SplitFrame(tuples, router_, *CurrentSplitIndex(),
                [&](uint32_t s, ShardDelta delta) {
-                 shed += Submit(*shards_[s], std::move(delta));
+                 shed += Submit(*shards_[s], std::move(delta),
+                                own_writes == nullptr
+                                    ? nullptr
+                                    : &own_writes->pending_[s]);
                });
     NetMetrics::Get().delta_flushed_tuples.Add(tuples.size());
     return shed;
   }
+  ASKETCH_CHECK(own_writes == nullptr);
   DeltaIngestState& state = *delta_state;
   const uint32_t n = num_shards();
   ASKETCH_CHECK(state.per_shard_.size() == n);
@@ -399,7 +429,7 @@ uint64_t ShardSet::FlushShardDelta(uint32_t index,
   NetMetrics::Get().delta_flushed_tuples.Add(slot->tuple_count());
   ShardDelta delta = std::move(*slot);
   slot.reset();
-  return Submit(*shards_[index], std::move(delta));
+  return Submit(*shards_[index], std::move(delta), nullptr);
 }
 
 uint64_t ShardSet::FlushDeltas(DeltaIngestState& state) {
@@ -419,6 +449,31 @@ void ShardSet::Drain() {
       return shard->queue.empty() && !shard->busy;
     });
   }
+}
+
+OwnWrites::OwnWrites(ShardSet& shards)
+    : shards_(shards), pending_(shards.num_shards()) {}
+
+OwnWrites::~OwnWrites() { shards_.AwaitOwnWrites(*this); }
+
+void ShardSet::AwaitOwnWrites(OwnWrites& own_writes) {
+  uint64_t applied = 0;
+  for (uint32_t s = 0; s < num_shards(); ++s) {
+    std::atomic<uint64_t>& pending = own_writes.pending_[s];
+    // Acquire: a zero here follows the apply that retired the session's
+    // last delta, so the lock-free read after this call sees it.
+    if (pending.load(std::memory_order_acquire) == 0) continue;
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> guard(shard.mu);
+    // Under mu no other thread can pop, so a non-zero count means one
+    // of the session's deltas is still queued.
+    while (pending.load(std::memory_order_relaxed) != 0) {
+      const uint64_t head = ApplyQueueHeadLocked(shard);
+      ASKETCH_CHECK(head != 0);
+      applied += head;
+    }
+  }
+  if (applied != 0) NetMetrics::Get().own_write_applied.Add(applied);
 }
 
 namespace {

@@ -30,13 +30,21 @@
 // is flushed before the next frame and nothing is pending between
 // frames.
 //
+// Each connection also reads its own writes (OwnWrites): before a read
+// it applies, on its own thread and in queue order, the queue heads up
+// to the last delta it queued on each shard, instead of waiting for the
+// owner to wake. Every popper takes shard.mu before it pops, so a
+// popped delta is never out of sight of a thread holding the lock.
+// Other connections still see a delta only once it is applied.
+//
 // Reads are contention-free: Estimate/EstimateBatch/TopK never take
 // shard.mu. Point and top-k lookups run against the filter's
 // single-writer seqlock (src/filter/seqlock.h) and fall through to
 // relaxed atomic sketch-cell reads, so read latency no longer collapses
 // when an ingest worker is mid-batch under the mutex. Answers remain
 // one-sided and prefix-consistent per key (DESIGN.md §5c); shard.mu
-// still serializes the writers (worker, inline-apply, restore).
+// still serializes the writers (worker, own-write and inline applies,
+// restore).
 //
 // Persistence mirrors asketch_cli's checkpoint discipline: SaveSnapshot
 // serializes all shards into one SnapshotStore generation (payload tag
@@ -49,6 +57,7 @@
 #define ASKETCH_NET_SHARD_SET_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -195,6 +204,31 @@ class DeltaIngestState {
   std::vector<std::optional<ShardDelta>> per_shard_;
 };
 
+class ShardSet;
+
+/// One connection's read-your-writes session (Terry et al., "Session
+/// Guarantees for Weakly Consistent Replicated Data", PDIS 1994): per
+/// shard, the tuples the connection has queued that no apply has retired
+/// yet. Ingest counts a delta in when it queues it, never a shed or
+/// inline-applied one; whichever thread applies the delta counts it out.
+/// ShardSet::AwaitOwnWrites brings the counts to zero. Queued deltas
+/// point at the counts, so the destructor does the same. Used by one
+/// connection thread at a time.
+class OwnWrites {
+ public:
+  explicit OwnWrites(ShardSet& shards);
+  ~OwnWrites();
+
+  OwnWrites(const OwnWrites&) = delete;
+  OwnWrites& operator=(const OwnWrites&) = delete;
+
+ private:
+  friend class ShardSet;
+
+  ShardSet& shards_;
+  std::vector<std::atomic<uint64_t>> pending_;
+};
+
 struct ShardSetOptions {
   /// In [1, kMaxShards].
   uint32_t num_shards = 4;
@@ -231,8 +265,11 @@ class ShardSet {
   /// delta reached delta_flush_tuples are flushed. A flush blocks at
   /// most max_enqueue_wait_ms per full queue, then degrades per the
   /// overload policy. Returns the weight shed (0 under kInlineApply).
+  /// With `own_writes` (null-state calls only), every delta queued is
+  /// counted into it, so AwaitOwnWrites can make it visible.
   uint64_t Ingest(std::span<const Tuple> tuples,
-                  DeltaIngestState* delta_state = nullptr);
+                  DeltaIngestState* delta_state = nullptr,
+                  OwnWrites* own_writes = nullptr);
 
   /// A delta accumulator sized for this set; see DeltaIngestState.
   DeltaIngestState MakeDeltaState() const;
@@ -242,9 +279,18 @@ class ShardSet {
   /// shed. After this returns, a Drain() barrier covers the tuples.
   uint64_t FlushDeltas(DeltaIngestState& state);
 
-  /// Blocks until every queued batch has been applied and all workers
-  /// are idle. Concurrent Ingest calls may refill queues afterwards.
+  /// Blocks until every queued batch has been applied and no popped
+  /// batch is still being applied, by an owner or by a reader in
+  /// AwaitOwnWrites. Concurrent Ingest calls may refill queues
+  /// afterwards.
   void Drain();
+
+  /// Read-your-writes: returns once every delta queued under
+  /// `own_writes` has been applied. For each shard where one is still
+  /// queued, the calling thread takes shard.mu and applies queue heads,
+  /// in queue order, until none is left. With nothing queued it takes
+  /// no lock.
+  void AwaitOwnWrites(OwnWrites& own_writes);
 
   /// Point query against the applied state of the owning shard.
   /// Lock-free: never blocks on shard.mu (see file comment).
@@ -302,10 +348,19 @@ class ShardSet {
   void StallWorkersForTesting(bool stalled);
 
  private:
+  /// A queued delta, the session count it is booked against (or null)
+  /// and when it was queued.
+  struct QueuedDelta {
+    ShardDelta delta;
+    std::atomic<uint64_t>* pending;
+    std::chrono::steady_clock::time_point queued_at;
+  };
+
   struct Shard {
     /// Serializes the *writers* of sketch + applied_tuples (worker
-    /// batch application, inline-apply, restore). Readers go through
-    /// the sketch's lock-free query path instead of taking it.
+    /// batch application, own-write and inline applies, restore), and
+    /// every pop of the queue. Readers go through the sketch's
+    /// lock-free query path instead of taking it.
     mutable std::mutex mu;
     AnyServingSketch sketch;
     /// Tuples applied (worker + inline). Written under mu, bumped only
@@ -316,15 +371,20 @@ class ShardSet {
     std::condition_variable cv_push;  ///< signalled when space frees up
     std::condition_variable cv_pop;   ///< signalled when work arrives
     std::condition_variable cv_idle;  ///< signalled when fully drained
-    std::deque<ShardDelta> queue;
-    bool busy = false;  ///< worker currently applying a batch
+    std::deque<QueuedDelta> queue;
+    /// A popped batch is being applied (by the worker or a reader);
+    /// pops happen under mu, so there is at most one.
+    bool busy = false;
     std::thread worker;
-
 
     explicit Shard(AnyServingSketch s) : sketch(std::move(s)) {}
   };
 
   void WorkerLoop(Shard& shard);
+  /// Pops the queue head and applies it; caller holds shard.mu, so no
+  /// other thread can pop until the delta is applied. Returns the
+  /// tuples applied, 0 when the queue was empty.
+  uint64_t ApplyQueueHeadLocked(Shard& shard);
   /// The split index for the shards' current filters: the cached one
   /// while every shard's head still holds its live filter's key set
   /// (checked by content on every call), otherwise one rebuilt from
@@ -335,8 +395,10 @@ class ShardSet {
   /// applied_tuples at the boundary; returns the tuple count applied.
   uint64_t ApplyLocked(Shard& shard, ShardDelta& delta);
   /// Bounded-wait enqueue of `delta`, degrading per the overload policy
-  /// when the wait expires. Returns the weight shed (0 unless kShed).
-  uint64_t Submit(Shard& shard, ShardDelta delta);
+  /// when the wait expires; a queued delta is counted into `pending`
+  /// when that is non-null. Returns the weight shed (0 unless kShed).
+  uint64_t Submit(Shard& shard, ShardDelta delta,
+                  std::atomic<uint64_t>* pending);
   /// Flushes shard `index`'s delta from `state` if it is non-empty.
   uint64_t FlushShardDelta(uint32_t index, DeltaIngestState& state);
   /// Serializes all shards; caller must hold every shard.mu.

@@ -1,10 +1,12 @@
 // ShardSet ingest (src/net/shard_set.{h,cc}): equality with serial
 // per-shard UpdateBatch under a stable head for both backends,
 // flush/drain barrier semantics, the overload paths, snapshot
-// round-trips, and — under TSan — concurrent decode threads building
-// deltas, stable-head and churning, while lock-free readers query.
+// round-trips, read-your-writes sessions, and — under TSan —
+// concurrent decode threads building deltas, stable-head and churning,
+// while lock-free readers and read-your-writes sessions query.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -408,6 +410,108 @@ TEST(NetDeltaIngestTest, ChurningHeadDecodeThreadsAndBatchReaderStayExact) {
   for (item_t key = 0; key < kDomain; ++key) {
     ASSERT_GE(estimates[key], truth.Count(key)) << "key " << key;
   }
+}
+
+// Two bulk decode threads ingest without a session while two sessions
+// each write a fresh key and read it back. Every read-back counts the
+// session's own weight unless the overload policy shed it, and the
+// applied plus shed tuples add up to everything sent.
+void RunSessionsBesideBulkWriters(OverloadPolicy overload) {
+  ShardSetOptions options = BaseOptions(SketchBackend::kCountMin);
+  options.overload = overload;
+  options.max_queue_batches = 2;
+  options.max_enqueue_wait_ms = 1;
+  ShardSet shards(options);
+  ExactCounter truth(kDomain);
+  std::vector<std::vector<Tuple>> streams;
+  for (uint64_t seed = 0; seed < 2; ++seed) {
+    streams.push_back(PayloadTuples(300 + seed));
+    for (const Tuple& t : streams.back()) {
+      truth.Update(t.key, static_cast<delta_t>(t.value));
+    }
+  }
+  std::atomic<uint64_t> shed{0};
+  std::vector<std::thread> threads;
+  for (const auto& stream : streams) {
+    threads.emplace_back([&shards, &shed, &stream] {
+      for (size_t begin = 0; begin < stream.size(); begin += 499) {
+        const size_t count = std::min<size_t>(499, stream.size() - begin);
+        shed += shards.Ingest(
+            std::span<const Tuple>(stream.data() + begin, count));
+      }
+    });
+  }
+  constexpr uint32_t kSessionKeys = 200;
+  constexpr uint32_t kOwnWeight = 5;
+  std::atomic<uint64_t> session_tuples{0};
+  for (uint32_t session = 0; session < 2; ++session) {
+    threads.emplace_back([&, session] {
+      OwnWrites own_writes(shards);
+      for (uint32_t j = 0; j < kSessionKeys; ++j) {
+        // Fresh keys above the payload domain, disjoint per session.
+        const item_t key = kDomain + session * kSessionKeys + j;
+        const std::vector<Tuple> frame(kOwnWeight, Tuple{key, 1});
+        const uint64_t frame_shed = shards.Ingest(frame, nullptr, &own_writes);
+        shed += frame_shed;
+        session_tuples += frame.size();
+        shards.AwaitOwnWrites(own_writes);
+        if (frame_shed == 0) {
+          ASSERT_GE(shards.Estimate(key), kOwnWeight) << "key " << key;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  shards.Drain();
+
+  const WireStats stats = shards.GetStats();
+  EXPECT_EQ(stats.shed_weight, shed.load());
+  EXPECT_EQ(stats.ingested + stats.shed_weight,
+            streams[0].size() + streams[1].size() + session_tuples.load());
+  if (overload == OverloadPolicy::kInlineApply) {
+    EXPECT_EQ(stats.shed_weight, 0u);
+    for (item_t key = 0; key < kDomain; ++key) {
+      ASSERT_GE(static_cast<wide_count_t>(shards.Estimate(key)),
+                truth.Count(key))
+          << "key " << key;
+    }
+  }
+}
+
+TEST(NetDeltaIngestTest, SessionsReadOwnWritesBesideBulkWritersInline) {
+  RunSessionsBesideBulkWriters(OverloadPolicy::kInlineApply);
+}
+
+TEST(NetDeltaIngestTest, SessionsReadOwnWritesBesideBulkWritersShed) {
+  RunSessionsBesideBulkWriters(OverloadPolicy::kShed);
+}
+
+// A reader applying its own delta has popped it, so the queue is empty
+// while the delta is not yet applied; Drain must still wait for it.
+TEST(NetDeltaIngestTest, DrainWaitsForAReaderMidApply) {
+  ShardSetOptions options = BaseOptions(SketchBackend::kCountMin);
+  options.num_shards = 1;
+  ShardSet shards(options);
+  shards.StallWorkersForTesting(true);
+  // Distinct keys: the filter takes the first few, and every other
+  // tuple walks the sketch, so the apply runs for milliseconds.
+  std::vector<Tuple> frame;
+  for (item_t key = 1; key <= 1000000; ++key) frame.push_back(Tuple{key, 1});
+  OwnWrites own_writes(shards);
+  shards.Ingest(frame, nullptr, &own_writes);
+  ASSERT_EQ(shards.AppliedTuples(0), 0u);
+
+  std::thread reader([&] { shards.AwaitOwnWrites(own_writes); });
+  // The first key reads non-zero once the reader's apply has begun.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (shards.Estimate(frame[0].key) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+  }
+  shards.Drain();
+  EXPECT_EQ(shards.AppliedTuples(0), frame.size());
+  reader.join();
+  shards.StallWorkersForTesting(false);
 }
 
 }  // namespace

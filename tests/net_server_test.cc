@@ -3,12 +3,15 @@
 // rejection), single-client determinism against an in-process ShardSet
 // oracle under a stable head, one-sidedness and conservation under head
 // churn, concurrent-client conservation, garbage-resilience, overload
-// degradation, and snapshot/recover bit-identity.
+// degradation, snapshot/recover bit-identity, read-your-writes on a
+// connection, and the reaping of finished connection threads.
 
 #include "src/net/server.h"
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "src/common/snapshot.h"
 #include "src/net/client.h"
 #include "src/net/shard_set.h"
+#include "src/obs/metrics.h"
 #include "src/workload/exact_counter.h"
 #include "src/workload/stream_generator.h"
 
@@ -748,17 +752,91 @@ TEST(NetServer, LoneUpdateBecomesVisibleWithoutBarrier) {
     ASSERT_EQ(client.Query(key, &before), std::nullopt);
     const Tuple sentinel{key, kWeight};
     ASSERT_EQ(client.Update({&sentinel, 1}), std::nullopt);
-    const auto sent = std::chrono::steady_clock::now();
+    // Read-your-writes: the first query on the writing connection
+    // already counts the update.
     uint64_t estimate = 0;
-    do {
-      ASSERT_EQ(client.Query(key, &estimate), std::nullopt);
-    } while (estimate < before + kWeight &&
-             std::chrono::steady_clock::now() - sent <
-                 std::chrono::seconds(1));
+    ASSERT_EQ(client.Query(key, &estimate), std::nullopt);
     EXPECT_GE(estimate, before + kWeight) << "key " << key;
   }
   server.Stop();
 }
+
+// With every owner stalled, only the writing connection can apply its
+// queued delta: its first QUERY_BATCH after the UPDATE counts the
+// weight, while another connection still reads the applied state.
+TEST(NetServer, ReadsOwnWritesWhileOwnersAreStalled) {
+  Server server(SmallServer());
+  ASSERT_EQ(server.Start(), std::nullopt);
+  server.shards().StallWorkersForTesting(true);
+  Client writer;
+  Client other;
+  ASSERT_EQ(writer.Connect({.port = server.port()}), std::nullopt);
+  ASSERT_EQ(other.Connect({.port = server.port()}), std::nullopt);
+  const obs::Counter& own_applied = obs::MetricsRegistry::Global().GetCounter(
+      "asketch_net_own_write_applied_total");
+  const uint64_t own_applied_before = own_applied.Value();
+
+  constexpr item_t kKey = 4242;
+  constexpr uint32_t kWeight = 1024;
+  const Tuple update{kKey, kWeight};
+  ASSERT_EQ(writer.Update({&update, 1}), std::nullopt);
+  // The ack of an empty UPDATE orders the write before the other
+  // connection's read: the delta is queued, and nobody has applied it.
+  ASSERT_EQ(writer.Flush(), std::nullopt);
+  uint64_t seen_by_other = 0;
+  ASSERT_EQ(other.Query(kKey, &seen_by_other), std::nullopt);
+  EXPECT_EQ(seen_by_other, 0u);
+
+  std::vector<uint64_t> estimates;
+  ASSERT_EQ(writer.QueryBatch({&kKey, 1}, &estimates), std::nullopt);
+  ASSERT_EQ(estimates.size(), 1u);
+  EXPECT_GE(estimates[0], kWeight);
+#ifndef ASKETCH_NO_TELEMETRY
+  EXPECT_EQ(own_applied.Value() - own_applied_before, 1u);
+#endif
+  server.shards().StallWorkersForTesting(false);
+  server.Stop();
+}
+
+#if defined(__linux__)
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// A finished connection thread keeps its stack mapped until it is
+// joined, so a server that joined only at Stop() grew by two mappings
+// per connection ever closed.
+TEST(NetServer, ClosedConnectionThreadsAreReaped) {
+  Server server(SmallServer());
+  ASSERT_EQ(server.Start(), std::nullopt);
+  const auto cycle = [&](int times) {
+    for (int i = 0; i < times; ++i) {
+      Client client;
+      ASSERT_EQ(client.Connect({.port = server.port()}), std::nullopt);
+      client.Close();
+    }
+  };
+  // Warm-up: the first connections map thread stacks and allocator
+  // arenas that later ones reuse.
+  cycle(10);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const size_t before = MappingCount();
+  cycle(200);
+  // The accept loop reaps at its 100 ms poll granularity.
+  size_t after = MappingCount();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (after >= before + 20 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    after = MappingCount();
+  }
+  EXPECT_LT(after, before + 20) << "mappings before " << before;
+  server.Stop();
+}
+#endif  // __linux__
 
 #endif  // ASKETCH_NET_TESTS
 
