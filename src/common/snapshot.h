@@ -38,8 +38,9 @@
 //   Reserved tags are never reused, so a blob written under one still
 //   fails to load instead of being read as another type.
 //   ASketch<F, S> composes 0x41000000 | (F's tag << 8) | S's tag.
-//   Application formats (e.g. asketch_cli's checkpoint) use tags with a
-//   nonzero top byte outside 0x41.
+//   Application formats (e.g. asketchd's "SRD1" shard-set payload) use
+//   tags with a nonzero top byte outside 0x41. "CKP1" and "CKP2" (retired
+//   offline checkpoints) are reserved like the retired type tags above.
 //
 // SnapshotStore persists numbered generations `<prefix>.<gen>.snap`.
 // Save() writes a temp file, flushes and fsyncs it, then renames it into

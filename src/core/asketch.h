@@ -903,10 +903,25 @@ struct ASketchConfig {
   uint32_t filter_items = 32;
   uint64_t seed = 42;
 
+  /// The rules every MakeASketch* helper CHECKs, for recoverable
+  /// handling: the rows fit the sketches' fixed staging block, and a
+  /// filter of type FilterT leaves part of the budget to the sketch.
+  template <FilterType FilterT = RelaxedHeapFilter>
   std::optional<std::string> Validate() const {
     if (width < 1) return std::string("ASketch width must be >= 1");
+    if (width > CountMinConfig::kMaxWidth) {
+      return "ASketch width must be <= " +
+             std::to_string(CountMinConfig::kMaxWidth);
+    }
     if (filter_items < 1) {
       return std::string("ASketch filter_items must be >= 1");
+    }
+    const size_t filter_bytes =
+        static_cast<size_t>(filter_items) * FilterT::BytesPerItem();
+    if (filter_bytes >= total_bytes) {
+      return "ASketch filter (" + std::to_string(filter_bytes) +
+             " bytes) must be smaller than total_bytes (" +
+             std::to_string(total_bytes) + ")";
     }
     return std::nullopt;
   }
@@ -927,7 +942,7 @@ size_t SketchBudgetBytes(const ASketchConfig& config) {
 /// ASketch over Count-Min (the paper's default configuration).
 template <FilterType FilterT>
 ASketch<FilterT, CountMin> MakeASketchCountMin(const ASketchConfig& config) {
-  ASKETCH_CHECK(!config.Validate().has_value());
+  ASKETCH_CHECK(!config.Validate<FilterT>().has_value());
   const CountMinConfig sketch_config = CountMinConfig::FromSpaceBudget(
       internal::SketchBudgetBytes<FilterT>(config), config.width,
       config.seed);
@@ -941,7 +956,7 @@ ASketch<FilterT, CountMin> MakeASketchCountMin(const ASketchConfig& config) {
 /// uses inside ASketch-FCM.
 template <FilterType FilterT>
 ASketch<FilterT, Fcm> MakeASketchFcm(const ASketchConfig& config) {
-  ASKETCH_CHECK(!config.Validate().has_value());
+  ASKETCH_CHECK(!config.Validate<FilterT>().has_value());
   FcmConfig sketch_config = FcmConfig::FromSpaceBudget(
       internal::SketchBudgetBytes<FilterT>(config), config.width,
       /*mg_capacity=*/0, config.seed);
@@ -958,7 +973,7 @@ ASketch<FilterT, Fcm> MakeASketchFcm(const ASketchConfig& config) {
 template <FilterType FilterT>
 ASketch<FilterT, SalsaCountMin> MakeASketchSalsa(
     const ASketchConfig& config) {
-  ASKETCH_CHECK(!config.Validate().has_value());
+  ASKETCH_CHECK(!config.Validate<FilterT>().has_value());
   const SalsaConfig sketch_config = SalsaConfig::FromSpaceBudget(
       internal::SketchBudgetBytes<FilterT>(config), config.width,
       config.seed);
@@ -970,7 +985,7 @@ ASketch<FilterT, SalsaCountMin> MakeASketchSalsa(
 template <FilterType FilterT>
 ASketch<FilterT, CountSketch> MakeASketchCountSketch(
     const ASketchConfig& config) {
-  ASKETCH_CHECK(!config.Validate().has_value());
+  ASKETCH_CHECK(!config.Validate<FilterT>().has_value());
   const CountSketchConfig sketch_config = CountSketchConfig::FromSpaceBudget(
       internal::SketchBudgetBytes<FilterT>(config), config.width,
       config.seed);

@@ -6,13 +6,13 @@
 // per-shard split with its head aggregation — the filter and sketch
 // work happens on the shard workers.
 //
-// Persistence: when snapshot_prefix is set the server owns a CKP-style
+// Persistence: when snapshot_prefix is set the server owns a
 // SnapshotStore. SNAPSHOT requests, the optional background checkpoint
 // loop, and the final checkpoint in Stop() all funnel through
 // Checkpoint(), which serializes cuts under one mutex. With
 // `recover = true`, Start() refuses to serve unless a valid generation
-// was adopted (matching asketch_cli's recover semantics: recovering
-// from nothing is an error, not an empty sketch).
+// was adopted: an operator who asked to recover must not get a silently
+// empty sketch.
 //
 // Each connection reads its own writes: QUERY, QUERY_BATCH, TOPK and
 // STATS first apply whatever UPDATE deltas the same connection still

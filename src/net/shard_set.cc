@@ -726,11 +726,12 @@ std::optional<std::string> ShardSet::SaveSnapshot(SnapshotStore& store,
   if (payload.empty()) {
     return std::string("shard-set serialization failed");
   }
-  // Re-adopt the serialized form (the CLI's SaveAndReload discipline),
-  // then serialize again: deserialization re-heapifies the filters, which
-  // can reorder entries, so only the second serialization is a fixpoint
-  // of save -> recover -> serialize. Persisting the canonical bytes makes
-  // the digest returned here match what a --recover'd server reports.
+  // Re-adopt the serialized form, so the live state continues from what
+  // a recovery would load, then serialize again: deserialization
+  // re-heapifies the filters, which can reorder entries, so only the
+  // second serialization is a fixpoint of save -> recover -> serialize.
+  // Persisting the canonical bytes makes the digest returned here match
+  // what a --recover'd server reports.
   if (auto error = RestoreLocked(payload)) {
     return "post-save re-adoption failed: " + *error;
   }

@@ -46,12 +46,11 @@
 // still serializes the writers (worker, own-write and inline applies,
 // restore).
 //
-// Persistence mirrors asketch_cli's checkpoint discipline: SaveSnapshot
-// serializes all shards into one SnapshotStore generation (payload tag
-// "SRD1"), then re-adopts the deserialized form, so the live state, the
-// on-disk state, and any --recover'd state are bit-identical under
-// serialization — the CRC32C digest returned here equals the digest a
-// recovered server reports.
+// Persistence: SaveSnapshot serializes all shards into one
+// SnapshotStore generation (payload tag "SRD1"), then re-adopts the
+// deserialized form, so the live state, the on-disk state, and any
+// --recover'd state are bit-identical under serialization — the CRC32C
+// digest returned here equals the digest a recovered server reports.
 
 #ifndef ASKETCH_NET_SHARD_SET_H_
 #define ASKETCH_NET_SHARD_SET_H_
@@ -81,8 +80,7 @@ namespace asketch {
 namespace net {
 
 /// The serving synopsis type — the same composition asketch_cli
-/// persists, so operators can inspect asketchd snapshots with the CLI's
-/// tooling conventions.
+/// builds, the paper's default (Relaxed-Heap filter over Count-Min).
 using ServingSketch = ASketch<RelaxedHeapFilter, CountMin>;
 
 /// The SALSA-backed alternative (asketchd --sketch=salsa): identical

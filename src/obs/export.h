@@ -1,9 +1,8 @@
 // Exposition formats for MetricsSnapshot: Prometheus text format and a
 // JSON dump with derived percentiles.
 //
-// Both renderers are pure functions of a snapshot, so the same bytes can
-// be served over HTTP (`asketch_cli serve-metrics`), dumped to a file
-// (`--metrics-out`), or printed by the background StatsReporter. Output
+// Both renderers are pure functions of a snapshot, so the bytes
+// `asketchd --metrics-port` serves are the bytes tests can pin. Output
 // is deterministic: metric sections are sorted by (name, labels) by
 // Collect(), and numbers render with a fixed format — the Prometheus
 // golden test diffs against tests/golden/exposition.prom byte-for-byte.

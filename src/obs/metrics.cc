@@ -118,21 +118,6 @@ uint64_t MetricsRegistry::SumCounter(
   return total;
 }
 
-void Histogram::MergeCounts(
-    const std::array<uint64_t, kHistogramBuckets + 1>& buckets,
-    uint64_t sum, uint64_t max) {
-  for (uint32_t i = 0; i <= kHistogramBuckets; ++i) {
-    if (buckets[i] != 0) {
-      buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
-    }
-  }
-  sum_.fetch_add(sum, std::memory_order_relaxed);
-  uint64_t seen = max_.load(std::memory_order_relaxed);
-  while (max > seen && !max_.compare_exchange_weak(
-                           seen, max, std::memory_order_relaxed)) {
-  }
-}
-
 HistogramSample Histogram::Sample() const {
   HistogramSample sample;
   for (uint32_t i = 0; i <= kHistogramBuckets; ++i) {

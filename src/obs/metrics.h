@@ -228,12 +228,6 @@ class Histogram {
     }
   }
 
-  /// Adds externally accumulated bucket counts (snapshot restore and
-  /// histogram merging). `buckets` uses this class's bucket layout.
-  void MergeCounts(
-      const std::array<uint64_t, kHistogramBuckets + 1>& buckets,
-      uint64_t sum, uint64_t max);
-
   /// Point-in-time copy with derived count/percentiles (name/labels left
   /// empty; the registry fills them during Collect()).
   HistogramSample Sample() const;
@@ -382,8 +376,6 @@ class Gauge {
 class Histogram {
  public:
   void Record(uint64_t) {}
-  void MergeCounts(const std::array<uint64_t, kHistogramBuckets + 1>&,
-                   uint64_t, uint64_t) {}
   HistogramSample Sample() const { return {}; }
 };
 

@@ -39,6 +39,10 @@ namespace {
 struct TlsRingCache {
   internal::TraceRing* ring = nullptr;
   uint64_t generation = 0;
+  // The registry is never destroyed, so this is safe at any thread exit.
+  ~TlsRingCache() {
+    if (ring != nullptr) TraceRegistry::Global().ReleaseRing(ring, generation);
+  }
 };
 
 thread_local TlsRingCache tls_ring_cache;
@@ -104,11 +108,25 @@ internal::TraceRing* TraceRegistry::LocalRing() {
     return cache.ring;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  rings_.push_back(
-      std::make_unique<internal::TraceRing>(next_tid_++, ring_capacity_));
-  cache.ring = rings_.back().get();
-  cache.generation = generation;
+  if (!free_rings_.empty()) {
+    cache.ring = free_rings_.back();
+    free_rings_.pop_back();
+  } else {
+    rings_.push_back(
+        std::make_unique<internal::TraceRing>(next_tid_++, ring_capacity_));
+    cache.ring = rings_.back().get();
+  }
+  // Stamp the generation the ring belongs to; a Reset() may have run
+  // since the check above.
+  cache.generation = generation_.load(std::memory_order_relaxed);
   return cache.ring;
+}
+
+void TraceRegistry::ReleaseRing(internal::TraceRing* ring,
+                                uint64_t generation) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (generation != generation_.load(std::memory_order_relaxed)) return;
+  free_rings_.push_back(ring);
 }
 
 std::vector<CollectedTraceEvent> TraceRegistry::Collect() const {
@@ -137,6 +155,7 @@ uint64_t TraceRegistry::DroppedEvents() const {
 void TraceRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   rings_.clear();
+  free_rings_.clear();
   next_tid_ = 1;
   generation_.fetch_add(1, std::memory_order_relaxed);
 }

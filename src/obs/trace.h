@@ -63,8 +63,10 @@ struct TraceSlot {
   std::atomic<uint64_t> dur_ns{0};
 };
 
-/// A single thread's ring. Created lazily on first span and owned by the
-/// TraceRegistry (events survive the recording thread's exit).
+/// A thread's ring. Created lazily on a thread's first span and owned by
+/// the TraceRegistry, so its events survive the recording thread's exit.
+/// An exiting thread hands its ring back, and the next thread that
+/// records without one continues in it under the same tid.
 class TraceRing {
  public:
   TraceRing(uint32_t tid, size_t capacity);
@@ -119,12 +121,19 @@ class TraceRegistry {
   /// and tools that take repeated independent traces.
   void Reset();
 
-  /// The calling thread's ring (creating it on first use).
+  /// The calling thread's ring (on first use, a ring released by an
+  /// exited thread, else a new one). Peak ring count is thus the peak
+  /// number of live recording threads, however many come and go.
   internal::TraceRing* LocalRing();
+
+  /// Called on thread exit: `ring` (handed out at `generation`) becomes
+  /// reusable. A ring from before the last Reset() is already gone.
+  void ReleaseRing(internal::TraceRing* ring, uint64_t generation);
 
  private:
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<internal::TraceRing>> rings_;
+  std::vector<internal::TraceRing*> free_rings_;
   size_t ring_capacity_ = 4096;
   uint32_t next_tid_ = 1;
   std::atomic<bool> enabled_{false};

@@ -774,7 +774,7 @@ TEST(NetServer, ReadsOwnWritesWhileOwnersAreStalled) {
   ASSERT_EQ(other.Connect({.port = server.port()}), std::nullopt);
   const obs::Counter& own_applied = obs::MetricsRegistry::Global().GetCounter(
       "asketch_net_own_write_applied_total");
-  const uint64_t own_applied_before = own_applied.Value();
+  [[maybe_unused]] const uint64_t own_applied_before = own_applied.Value();
 
   constexpr item_t kKey = 4242;
   constexpr uint32_t kWeight = 1024;

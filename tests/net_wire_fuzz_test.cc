@@ -192,8 +192,10 @@ TEST(NetWireFuzz, ServerSurvivesSeededAttackSchedules) {
 
   // Garbage and oversized frames poison their streams; every poisoned
   // stream is a counted rejection.
-  EXPECT_GT(metrics.frame_errors_total.Value(), errors_before);
-  EXPECT_GT(metrics.corrupt_streams.Value(), corrupt_before);
+  if (obs::TelemetryCompiledIn()) {
+    EXPECT_GT(metrics.frame_errors_total.Value(), errors_before);
+    EXPECT_GT(metrics.corrupt_streams.Value(), corrupt_before);
+  }
 }
 
 TEST(NetWireFuzz, SameSeedSameSchedule) {

@@ -104,25 +104,6 @@ TEST(HistogramTest, PercentileCappedAtObservedMax) {
   EXPECT_EQ(sample.p99, 513.0);
 }
 
-TEST(HistogramTest, MergeCountsAddsForeignBuckets) {
-  if (!TelemetryCompiledIn()) GTEST_SKIP() << "telemetry compiled out";
-  MetricsRegistry registry;
-  Histogram& a = registry.GetHistogram("a");
-  Histogram& b = registry.GetHistogram("b");
-  a.Record(5);
-  b.Record(9);
-  b.Record(1u << 20);
-  const HistogramSample from = b.Sample();
-  a.MergeCounts(from.buckets, from.sum, from.max);
-  const HistogramSample merged = a.Sample();
-  EXPECT_EQ(merged.count, 3u);
-  EXPECT_EQ(merged.sum, 5u + 9u + (1u << 20));
-  EXPECT_EQ(merged.max, 1u << 20);
-  EXPECT_EQ(merged.buckets[HistogramBucketIndex(5)], 1u);
-  EXPECT_EQ(merged.buckets[HistogramBucketIndex(9)], 1u);
-  EXPECT_EQ(merged.buckets[HistogramBucketIndex(1u << 20)], 1u);
-}
-
 TEST(CounterTest, SingleThreadedExactness) {
   if (!TelemetryCompiledIn()) GTEST_SKIP() << "telemetry compiled out";
   MetricsRegistry registry;

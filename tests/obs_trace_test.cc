@@ -1,9 +1,11 @@
 // Tests for the trace-event flight recorder: span recording, the
 // disabled-by-default contract, ring wrap (overwrite-oldest), concurrent
-// recording, and the Chrome trace_event JSON rendering.
+// recording, ring reuse across exiting threads, and the Chrome
+// trace_event JSON rendering.
 
 #include "src/obs/trace.h"
 
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,6 +90,22 @@ TEST_F(TraceTest, ThreadsGetDistinctTids) {
   const auto events = TraceRegistry::Global().Collect();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_NE(events[0].tid, events[1].tid);
+}
+
+TEST_F(TraceTest, ExitedThreadsHandTheirRingToTheNext) {
+  // A server whose clients reconnect runs one short-lived thread after
+  // another; each records a span. Ring memory must track the threads
+  // alive at once, not every thread that ever ran.
+  TraceRegistry::Global().SetEnabled(true);
+  constexpr int kThreads = 64;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([] { ASKETCH_TRACE_SPAN("short_lived"); }).join();
+  }
+  const auto events = TraceRegistry::Global().Collect();
+  ASSERT_EQ(events.size(), static_cast<size_t>(kThreads));
+  std::set<uint32_t> tids;
+  for (const CollectedTraceEvent& e : events) tids.insert(e.tid);
+  EXPECT_LE(tids.size(), 2u);
 }
 
 TEST_F(TraceTest, ConcurrentRecordingLosesNothingBelowCapacity) {

@@ -10,11 +10,12 @@
 //
 // Binds 127.0.0.1:P (0 = ephemeral) and announces the bound port on
 // stdout ("asketchd listening on 127.0.0.1:PORT ...", flushed) so
-// scripts can scrape it. With --prefix, checkpoints go to the CKP-style
-// SnapshotStore `<PFX>.<gen>.snap`; --recover adopts the newest valid
-// generation before serving and fails hard when none validates. With
-// --metrics-port, the obs HTTP exporter serves /metrics, /metrics.json,
-// /stats, and /trace.json on a second loopback port.
+// scripts can scrape it. With --prefix, checkpoints go to the
+// SnapshotStore `<PFX>.<gen>.snap` (SRD1 payload); --recover adopts the
+// newest valid generation before serving and fails hard when none
+// validates. With --metrics-port, the obs HTTP exporter serves /metrics,
+// /metrics.json, /stats, and /trace.json on a second loopback port, and
+// span recording is on so /trace.json has a timeline to serve.
 //
 // Signals: SIGINT/SIGTERM stop gracefully (drain + final checkpoint);
 // SIGUSR1 cuts a checkpoint without stopping. Handlers only set flags;
@@ -144,9 +145,7 @@ int main(int argc, char** argv) {
       if (!ParseU64(value(), &n) || n < 1024) return Usage();
       options.shards.shard_config.total_bytes = n;
     } else if (arg == "--width") {
-      // Both backends stage one bucket per row in fixed 64-entry blocks
-      // (CountMinConfig::kMaxWidth); reject instead of silently clamping.
-      if (!ParseU64(value(), &n) || n < 1 || n > 64) return Usage();
+      if (!ParseU64(value(), &n) || n > UINT32_MAX) return Usage();
       options.shards.shard_config.width = static_cast<uint32_t>(n);
     } else if (arg == "--filter") {
       if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
@@ -197,6 +196,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad configuration: %s\n", error->c_str());
     return Usage();
   }
+
+  // Spans are recorded only when /trace.json can serve them; set before
+  // Start() so a recovery's snapshot_load is on the timeline too.
+  if (metrics_enabled) obs::TraceRegistry::Global().SetEnabled(true);
 
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);

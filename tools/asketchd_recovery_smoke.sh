@@ -9,7 +9,9 @@
 # no more and no less.
 #
 # The whole flow runs once per sketch backend (countmin, salsa):
-# recovery must be agnostic to the backend.
+# recovery must be agnostic to the backend. A last case checks that a
+# daemon with --metrics-port serves ingest and snapshot spans on
+# /trace.json.
 #
 # usage: asketchd_recovery_smoke.sh <build_dir>
 set -u
@@ -129,7 +131,51 @@ for skew in nan inf; do
 done
 echo "non-finite loadgen skew rejected with usage"
 
+# /trace.json: with --metrics-port the daemon records spans, so after
+# an ingest and a SIGUSR1 checkpoint the timeline holds both.
+trace_smoke() {
+  local dir="$WORK/trace"
+  mkdir -p "$dir"
+  DAEMON_FLAGS=(--port 0 --shards 2 --bytes 32768 --metrics-port 0
+                --prefix "$dir/ckpt/serve")
+  echo "--- /trace.json ---"
+  start_server "$dir/server.log"
+  local metrics_port
+  metrics_port=$(sed -n 's/^metrics on http:\/\/127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+                   "$dir/server.log")
+  [ -n "$metrics_port" ] || fail "no metrics line in: $(cat "$dir/server.log")"
+  "$LOADGEN" --port "$PORT" --tuples 200000 --keys 20000 --seed 5 \
+    >"$dir/load.log" 2>&1 || fail "trace load: $(cat "$dir/load.log")"
+  kill -USR1 "$SERVER_PID"
+  for _ in $(seq 1 100); do
+    grep -q '^checkpoint generation=' "$dir/server.log" && break
+    sleep 0.1
+  done
+  grep -q '^checkpoint generation=' "$dir/server.log" \
+    || fail "SIGUSR1 cut no checkpoint: $(cat "$dir/server.log")"
+  # One HTTP/1.0 GET over bash's /dev/tcp; the exporter closes the
+  # connection after the response.
+  timeout 10 bash -c 'exec 3<>"/dev/tcp/127.0.0.1/$1" &&
+      printf "GET /trace.json HTTP/1.0\r\n\r\n" >&3 && cat <&3' \
+    _ "$metrics_port" >"$dir/trace.json" \
+    || fail "GET /trace.json failed"
+  if grep -q '^ASKETCH_NO_TELEMETRY:BOOL=ON' "$BUILD_DIR/CMakeCache.txt" \
+       2>/dev/null; then
+    echo "telemetry compiled out: /trace.json is empty by design"
+  else
+    for span in snapshot_save asketch_update_batch; do
+      grep -q "\"name\":\"$span\"" "$dir/trace.json" \
+        || fail "/trace.json has no $span span: $(head -c 300 "$dir/trace.json")"
+    done
+    echo "/trace.json records snapshot_save and asketch_update_batch"
+  fi
+  kill "$SERVER_PID" 2>/dev/null
+  wait "$SERVER_PID" 2>/dev/null
+  SERVER_PID=""
+}
+
 run_smoke countmin
 run_smoke salsa
+trace_smoke
 
-echo "PASS: recovered serving state is bit-identical to the snapshot (both backends)"
+echo "PASS: recovered serving state is bit-identical to the snapshot (both backends); /trace.json records spans"
