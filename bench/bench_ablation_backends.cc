@@ -1,7 +1,6 @@
 // Ablation: ASketch generality over sketch backends. Runs the same
-// 128 KB budget with Count-Min, conservative-update Count-Min, SALSA,
-// FCM, and Count Sketch backends, with and without the filter, at
-// Zipf 1.5.
+// 128 KB budget with Count-Min, SALSA, FCM, and Count Sketch backends,
+// with and without the filter, at Zipf 1.5.
 // Validates the paper's claim that the filter's improvement is orthogonal
 // to the underlying sketch (§7.2.1, Fig. 8) — and extends it to two
 // backends the paper did not measure.
@@ -48,19 +47,6 @@ void Main() {
       workload);
   Run("ASketch<CountMin>",
       MakeASketchCountMin<RelaxedHeapFilter>(config), workload);
-
-  CountMinConfig conservative =
-      CountMinConfig::FromSpaceBudget(kBudget, kWidth, kSeed);
-  conservative.policy = CmUpdatePolicy::kConservative;
-  Run("CountMin (conservative update)", CountMin(conservative), workload);
-  CountMinConfig conservative_small = CountMinConfig::FromSpaceBudget(
-      kBudget - kFilterItems * RelaxedHeapFilter::BytesPerItem(), kWidth,
-      kSeed);
-  conservative_small.policy = CmUpdatePolicy::kConservative;
-  Run("ASketch<CountMin conservative>",
-      ASketch<RelaxedHeapFilter, CountMin>(
-          RelaxedHeapFilter(kFilterItems), CountMin(conservative_small)),
-      workload);
 
   Run("SalsaCountMin",
       SalsaCountMin(SalsaConfig::FromSpaceBudget(kBudget, kWidth, kSeed)),

@@ -12,7 +12,6 @@
 #include "src/common/random.h"
 #include "src/common/simd_scan.h"
 #include "src/filter/heap_filter.h"
-#include "src/filter/static_vector_filter.h"
 #include "src/filter/stream_summary_filter.h"
 #include "src/filter/vector_filter.h"
 
@@ -101,7 +100,6 @@ void BM_FilterHit(benchmark::State& state) {
     if (slot >= 0) filter.AddToNewCount(slot, 1);
   }
 }
-BENCHMARK_TEMPLATE(BM_FilterHit, StaticVectorFilter<32>)->Arg(32);
 BENCHMARK_TEMPLATE(BM_FilterHit, VectorFilter)->Arg(32)->Arg(128);
 BENCHMARK_TEMPLATE(BM_FilterHit, StrictHeapFilter)->Arg(32)->Arg(128);
 BENCHMARK_TEMPLATE(BM_FilterHit, RelaxedHeapFilter)->Arg(32)->Arg(128);
@@ -123,7 +121,6 @@ void BM_FilterMissAndMin(benchmark::State& state) {
     probe += 2;
   }
 }
-BENCHMARK_TEMPLATE(BM_FilterMissAndMin, StaticVectorFilter<32>)->Arg(32);
 BENCHMARK_TEMPLATE(BM_FilterMissAndMin, VectorFilter)->Arg(32)->Arg(128);
 BENCHMARK_TEMPLATE(BM_FilterMissAndMin, StrictHeapFilter)
     ->Arg(32)

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): sketch update and estimate costs
-// for the backends (Count-Min plain/conservative, FCM, Count Sketch) and
-// the end-to-end ASketch update at two skews.
+// for the backends (Count-Min, FCM, Count Sketch) and the end-to-end
+// ASketch update at two skews.
 
 #include <benchmark/benchmark.h>
 
@@ -41,15 +41,6 @@ void BM_CountMinUpdate(benchmark::State& state) {
   RunUpdates(state, sketch, stream);
 }
 BENCHMARK(BM_CountMinUpdate);
-
-void BM_CountMinConservativeUpdate(benchmark::State& state) {
-  CountMinConfig config = CountMinConfig::FromSpaceBudget(kBudget, 8);
-  config.policy = CmUpdatePolicy::kConservative;
-  CountMin sketch(config);
-  const auto stream = SkewedStream(1.5);
-  RunUpdates(state, sketch, stream);
-}
-BENCHMARK(BM_CountMinConservativeUpdate);
 
 void BM_FcmUpdate(benchmark::State& state) {
   Fcm sketch(FcmConfig::FromSpaceBudget(kBudget, 8, 32));

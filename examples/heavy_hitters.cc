@@ -6,7 +6,8 @@
 // in real time (the paper's Kosarak motivation). We run three same-space
 // summaries side by side — ASketch (filter = top-k report), Space Saving
 // (the classic counter-based method), and a plain Count-Min scanned
-// against a threshold — and score them with precision-at-k.
+// against a threshold — and score them with precision-at-k. Exits
+// nonzero if ASketch's precision falls below Space Saving's.
 
 #include <algorithm>
 #include <cstdio>
@@ -56,11 +57,12 @@ int main() {
     ss_top.push_back(e.key);
   }
 
+  const double asketch_precision = PrecisionAtK(asketch_top, truth, kTopK);
+  const double ss_precision = PrecisionAtK(ss_top, truth, kTopK);
   std::printf("%-22s precision-at-%u\n", "method", kTopK);
   std::printf("%-22s %.3f\n", asketch_summary.Name().c_str(),
-              PrecisionAtK(asketch_top, truth, kTopK));
-  std::printf("%-22s %.3f\n", space_saving.Name().c_str(),
-              PrecisionAtK(ss_top, truth, kTopK));
+              asketch_precision);
+  std::printf("%-22s %.3f\n", space_saving.Name().c_str(), ss_precision);
 
   // Show the head of the report with exact vs estimated counts.
   std::printf("\ntop articles (ASketch report):\n%-10s %12s %12s\n", "key",
@@ -70,6 +72,10 @@ int main() {
     if (shown++ == 10) break;
     std::printf("%-10u %12u %12llu\n", e.key, e.new_count,
                 static_cast<unsigned long long>(truth.Count(e.key)));
+  }
+  if (asketch_precision < ss_precision) {
+    std::printf("FAIL: ASketch precision below Space Saving's\n");
+    return 1;
   }
   return 0;
 }

@@ -10,7 +10,8 @@
 // the estimated heavy hitters onto dedicated assignments. We compare the
 // resulting load imbalance (max worker load / ideal load) when the heavy
 // hitters come from (a) exact counts, (b) a Count-Min scan, and (c)
-// ASketch's filter (TopK), all summaries same-sized.
+// ASketch's filter (TopK), all summaries same-sized. Exits nonzero if
+// the ASketch heavy set's precision falls below the Count-Min scan's.
 
 #include <algorithm>
 #include <cmath>
@@ -124,7 +125,7 @@ int main() {
   // mean the greedy packing balances phantom load).
   const auto report = [&](const char* name,
                           const std::vector<std::pair<item_t, double>>&
-                              heavy) {
+                              heavy) -> double {
     const wide_count_t threshold = truth.CountOfRank(kHeavyKeys);
     uint32_t correct = 0;
     double weight_error = 0;
@@ -135,20 +136,28 @@ int main() {
           std::abs(weight - static_cast<double>(truth.Count(key)));
       weight_total += static_cast<double>(truth.Count(key));
     }
+    const double precision =
+        heavy.empty() ? 0.0 : static_cast<double>(correct) / kHeavyKeys;
     std::printf("%-34s %12.3f %12.2f %16.4f\n", name,
-                ImbalanceWithHeavySet(stream, truth, heavy),
-                heavy.empty() ? 0.0
-                              : static_cast<double>(correct) / kHeavyKeys,
+                ImbalanceWithHeavySet(stream, truth, heavy), precision,
                 weight_total > 0 ? weight_error / weight_total : 0.0);
+    return precision;
   };
   std::printf("%-34s %12s %12s %16s\n", "partitioner", "imbalance",
               "precision", "weight rel err");
   std::printf("%-34s %12.3f %12s %16s\n", "hash only", hash_only, "-",
               "-");
   report("heavy set from exact counts", oracle);
-  report("heavy set from Count-Min (scan)", cm_heavy);
-  report("heavy set from ASketch filter", as_heavy);
+  const double cm_precision =
+      report("heavy set from Count-Min (scan)", cm_heavy);
+  const double as_precision =
+      report("heavy set from ASketch filter", as_heavy);
   std::printf("\n(imbalance 1.0 = perfectly balanced; ASketch should "
               "track the exact oracle)\n");
+  if (as_precision < cm_precision) {
+    std::printf("FAIL: ASketch heavy-set precision below the Count-Min "
+                "scan's\n");
+    return 1;
+  }
   return 0;
 }

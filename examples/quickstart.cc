@@ -5,6 +5,8 @@
 // Demonstrates the three-line happy path — configure a space budget,
 // update with (key, weight) tuples, query point frequencies — and shows
 // the accuracy difference against a plain Count-Min of the same size.
+// Exits nonzero unless ASketch is exact on the top ranks and its total
+// error over the printed ranks is no larger than Count-Min's.
 
 #include <cstdio>
 
@@ -50,13 +52,28 @@ int main() {
 
   std::printf("%-6s %12s %12s %12s\n", "rank", "true", "ASketch",
               "Count-Min");
+  constexpr uint64_t kExactRanks = 10;  // well inside the 32-item filter
+  bool top_exact = true;
+  // Both estimates are one-sided, so each error is estimate - truth.
+  wide_count_t asketch_error = 0;
+  wide_count_t baseline_error = 0;
   for (uint64_t rank : {1, 2, 3, 5, 10, 100, 10000}) {
     const item_t key = generator.RankToKey(rank);
-    std::printf("%-6llu %12llu %12u %12u\n",
+    const wide_count_t exact = truth.Count(key);
+    const wide_count_t ours = sketch.Estimate(key);
+    const wide_count_t theirs = baseline.Estimate(key);
+    std::printf("%-6llu %12llu %12llu %12llu\n",
                 static_cast<unsigned long long>(rank),
-                static_cast<unsigned long long>(truth.Count(key)),
-                sketch.Estimate(key), baseline.Estimate(key));
+                static_cast<unsigned long long>(exact),
+                static_cast<unsigned long long>(ours),
+                static_cast<unsigned long long>(theirs));
+    if (rank <= kExactRanks && ours != exact) top_exact = false;
+    asketch_error += ours - exact;
+    baseline_error += theirs - exact;
   }
+  std::printf("%-6s %12s %12llu %12llu\n", "error", "",
+              static_cast<unsigned long long>(asketch_error),
+              static_cast<unsigned long long>(baseline_error));
 
   std::printf(
       "\nfilter absorbed %.1f%% of all counts; %llu exchanges; "
@@ -64,5 +81,14 @@ int main() {
       100.0 * (1.0 - sketch.stats().FilterSelectivity()),
       static_cast<unsigned long long>(sketch.stats().exchanges),
       sketch.MemoryUsageBytes());
+  if (!top_exact) {
+    std::printf("FAIL: ASketch is not exact on the top %llu ranks\n",
+                static_cast<unsigned long long>(kExactRanks));
+    return 1;
+  }
+  if (asketch_error > baseline_error) {
+    std::printf("FAIL: ASketch total error exceeds Count-Min's\n");
+    return 1;
+  }
   return 0;
 }

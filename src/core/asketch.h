@@ -273,11 +273,19 @@ class ASketch {
   /// normal update path so exchanges still apply; (3) raise each of this
   /// filter's entries by `other`'s sketch estimate for its key — that
   /// mass is now inside the merged sketch, so both counters grow by it.
+  /// The weight split of stats() is the sum of both inputs' splits
+  /// (ALGORITHMS.md §4 states what else a merge preserves).
   std::optional<std::string> MergeFrom(const ASketch& other) {
     if (filter_.capacity() != other.filter_.capacity()) {
       return std::string("ASketch::MergeFrom: filter capacities differ");
     }
     if (auto error = sketch_.MergeFrom(other.sketch_)) return error;
+    // Step 2 re-applies mass that other.stats_ already counts, so its
+    // bookings are replaced below rather than added a second time.
+    const wide_count_t filtered_weight =
+        stats_.filtered_weight + other.stats_.filtered_weight;
+    const wide_count_t sketch_weight =
+        stats_.sketch_weight + other.stats_.sketch_weight;
     std::vector<FilterEntry> other_entries;
     other.filter_.ForEach([&other_entries](const FilterEntry& e) {
       other_entries.push_back(e);
@@ -311,6 +319,8 @@ class ASketch {
           SaturatingAdd(filter_.OldCount(slot),
                         static_cast<delta_t>(other_sketch_estimate)));
     }
+    stats_.filtered_weight = filtered_weight;
+    stats_.sketch_weight = sketch_weight;
     return std::nullopt;
   }
 

@@ -20,9 +20,9 @@ namespace asketch {
 
 std::optional<std::string> CountMinConfig::Validate() const {
   if (width < 1) return "CountMin width (number of rows) must be >= 1";
-  // The conservative update path stages one bucket per row in a fixed
-  // 64-entry block (see Update); a wider config would overflow it, and
-  // the DCHECK guarding the block compiles out of release builds.
+  // UpdateBatchBounded stages the buckets of a 64-key hashed chunk in a
+  // fixed on-stack block of 64 * kMaxWidth entries; a wider config would
+  // overflow it.
   if (width > kMaxWidth) {
     return "CountMin width (number of rows) must be <= 64";
   }
@@ -64,23 +64,6 @@ void CountMin::AdviseHugePagesIfLarge() {
 }
 
 void CountMin::Update(item_t key, delta_t delta) {
-  if (config_.policy == CmUpdatePolicy::kConservative && delta > 0) {
-    // Conservative update: the new estimate after this arrival is
-    // old_estimate + delta; no cell needs to exceed that.
-    count_t est = std::numeric_limits<count_t>::max();
-    uint32_t buckets[64];
-    ASKETCH_DCHECK(config_.width <= 64);
-    for (uint32_t row = 0; row < config_.width; ++row) {
-      buckets[row] = hashes_.Bucket(row, key);
-      est = std::min(est, Cell(row, buckets[row]));
-    }
-    const count_t target = SaturatingAdd(est, delta);
-    for (uint32_t row = 0; row < config_.width; ++row) {
-      count_t& cell = Cell(row, buckets[row]);
-      RelaxedStore(cell, std::max(cell, target));
-    }
-    return;
-  }
   for (uint32_t row = 0; row < config_.width; ++row) {
     count_t& cell = Cell(row, hashes_.Bucket(row, key));
     RelaxedStore(cell, SaturatingAdd(cell, delta));
@@ -89,18 +72,6 @@ void CountMin::Update(item_t key, delta_t delta) {
 
 void CountMin::UpdateAt(const uint32_t* buckets, delta_t delta,
                         size_t stride) {
-  if (config_.policy == CmUpdatePolicy::kConservative && delta > 0) {
-    count_t est = std::numeric_limits<count_t>::max();
-    for (uint32_t row = 0; row < config_.width; ++row) {
-      est = std::min(est, Cell(row, buckets[row * stride]));
-    }
-    const count_t target = SaturatingAdd(est, delta);
-    for (uint32_t row = 0; row < config_.width; ++row) {
-      count_t& cell = Cell(row, buckets[row * stride]);
-      RelaxedStore(cell, std::max(cell, target));
-    }
-    return;
-  }
   for (uint32_t row = 0; row < config_.width; ++row) {
     count_t& cell = Cell(row, buckets[row * stride]);
     RelaxedStore(cell, SaturatingAdd(cell, delta));
@@ -109,20 +80,6 @@ void CountMin::UpdateAt(const uint32_t* buckets, delta_t delta,
 
 count_t CountMin::UpdateAndEstimateAt(const uint32_t* buckets,
                                       delta_t delta, size_t stride) {
-  if (config_.policy == CmUpdatePolicy::kConservative && delta > 0) {
-    count_t est = std::numeric_limits<count_t>::max();
-    for (uint32_t row = 0; row < config_.width; ++row) {
-      est = std::min(est, Cell(row, buckets[row * stride]));
-    }
-    const count_t target = SaturatingAdd(est, delta);
-    for (uint32_t row = 0; row < config_.width; ++row) {
-      count_t& cell = Cell(row, buckets[row * stride]);
-      RelaxedStore(cell, std::max(cell, target));
-    }
-    // Every hashed cell is now >= target and the minimal one exactly
-    // target, so the post-update estimate is target itself.
-    return target;
-  }
   count_t est = std::numeric_limits<count_t>::max();
   for (uint32_t row = 0; row < config_.width; ++row) {
     count_t& cell = Cell(row, buckets[row * stride]);
@@ -134,11 +91,6 @@ count_t CountMin::UpdateAndEstimateAt(const uint32_t* buckets,
 }
 
 count_t CountMin::UpdateAndEstimate(item_t key, delta_t delta) {
-  if (config_.policy == CmUpdatePolicy::kConservative && delta > 0) {
-    // The conservative path already computes the estimate.
-    Update(key, delta);
-    return Estimate(key);
-  }
   count_t est = std::numeric_limits<count_t>::max();
   for (uint32_t row = 0; row < config_.width; ++row) {
     count_t& cell = Cell(row, hashes_.Bucket(row, key));
@@ -150,31 +102,12 @@ count_t CountMin::UpdateAndEstimate(item_t key, delta_t delta) {
 }
 
 void CountMin::UpdateBatch(std::span<const Tuple> tuples) {
-  if (config_.policy == CmUpdatePolicy::kPlain) {
-    UpdateBatchBounded(tuples, kUnbounded);
-    return;
-  }
-  // Conservative policy: hash a chunk in one vector pass, then walk it
-  // in order (each update reads the cells the previous one wrote).
-  constexpr size_t kChunk = 16;
-  const size_t n = tuples.size();
-  std::vector<uint32_t> buckets(kChunk * config_.width);
-  item_t keys[kChunk];
-  for (size_t begin = 0; begin < n; begin += kChunk) {
-    const size_t count = std::min(kChunk, n - begin);
-    for (size_t i = 0; i < count; ++i) keys[i] = tuples[begin + i].key;
-    PrepareUpdateBatch(keys, count, buckets.data());
-    for (size_t i = 0; i < count; ++i) {
-      UpdateAt(&buckets[i], static_cast<delta_t>(tuples[begin + i].value),
-               count);
-    }
-  }
+  UpdateBatchBounded(tuples, kUnbounded);
 }
 
 size_t CountMin::UpdateBatchBounded(std::span<const Tuple> tuples,
                                     uint64_t max_estimate) {
-  if (config_.policy != CmUpdatePolicy::kPlain ||
-      (max_estimate != kUnbounded && config_.width > kBlockMaxWidth)) {
+  if (max_estimate != kUnbounded && config_.width > kBlockMaxWidth) {
     return 0;
   }
   // Hash a 64-key chunk in one vector pass (prefetching the cells of
@@ -376,7 +309,7 @@ bool CountMin::SerializeTo(BinaryWriter& writer) const {
   writer.PutU32(config_.width);
   writer.PutU32(config_.depth);
   writer.PutU64(config_.seed);
-  writer.PutU8(config_.policy == CmUpdatePolicy::kConservative ? 1 : 0);
+  writer.PutU8(0);  // reserved; DeserializeFrom rejects any other value
   writer.PutPodVector(cells_);
   return writer.ok();
 }
@@ -384,16 +317,15 @@ bool CountMin::SerializeTo(BinaryWriter& writer) const {
 std::optional<CountMin> CountMin::DeserializeFrom(BinaryReader& reader) {
   uint32_t magic = 0;
   CountMinConfig config;
-  uint8_t policy = 0;
+  uint8_t reserved = 0;
   if (!reader.GetU32(&magic) || magic != kCountMinMagic) {
     return std::nullopt;
   }
   if (!reader.GetU32(&config.width) || !reader.GetU32(&config.depth) ||
-      !reader.GetU64(&config.seed) || !reader.GetU8(&policy)) {
+      !reader.GetU64(&config.seed) || !reader.GetU8(&reserved) ||
+      reserved != 0) {
     return std::nullopt;
   }
-  config.policy = policy != 0 ? CmUpdatePolicy::kConservative
-                              : CmUpdatePolicy::kPlain;
   if (config.Validate().has_value()) return std::nullopt;
   std::vector<count_t> cells;
   if (!reader.GetPodVector(&cells) ||

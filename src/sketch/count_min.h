@@ -28,17 +28,6 @@
 
 namespace asketch {
 
-/// Cell-update policies for CountMin.
-enum class CmUpdatePolicy {
-  /// Classic Count-Min: every hashed cell receives the full delta.
-  kPlain,
-  /// Conservative update (Estan & Varghese): a positive delta only raises
-  /// the hashed cells up to max(estimate + delta, cell) — strictly more
-  /// accurate for point queries, still one-sided, but only defined for
-  /// insertions (negative deltas fall back to plain subtraction).
-  kConservative,
-};
-
 /// Configuration for CountMin. `width` is the number of hash functions
 /// (rows, "w" in the paper); `depth` is the range of each hash function
 /// (cells per row, "h" in the paper).
@@ -46,10 +35,10 @@ struct CountMinConfig {
   uint32_t width = 8;
   uint32_t depth = 4096;
   uint64_t seed = 42;
-  CmUpdatePolicy policy = CmUpdatePolicy::kPlain;
 
-  /// Largest accepted `width`: the conservative-update path stages one
-  /// bucket per row in a fixed 64-entry block.
+  /// Largest accepted `width`: UpdateBatchBounded stages the buckets of
+  /// a 64-key hashed chunk in a fixed on-stack block of 64 * kMaxWidth
+  /// entries, one per key and row.
   static constexpr uint32_t kMaxWidth = 64;
 
   /// Returns an error message if invalid, std::nullopt otherwise.
@@ -161,9 +150,7 @@ class CountMin {
                               size_t stride = 1);
 
   /// Applies the tuples (bit-identical to the equivalent sequence of
-  /// Update calls). Under the plain policy this is UpdateBatchBounded
-  /// with an unbounded estimate; the conservative policy is
-  /// order-dependent and walks the tuples one by one.
+  /// Update calls): UpdateBatchBounded with an unbounded estimate.
   void UpdateBatch(std::span<const Tuple> tuples);
 
   /// Tuples per block of UpdateBatchBounded: one AVX-512 register of
@@ -184,21 +171,20 @@ class CountMin {
       false;
 #endif
 
-  /// Applies tuples in blocks of kBlockKeys, in order, under the plain
-  /// policy. Before a block is applied, each of its keys gets an upper
-  /// bound on its estimate after the block: the min over rows of the
-  /// row's final cell, where a row whose block buckets are all distinct
-  /// ends at exactly cell + the key's weight, and any other row (every
-  /// row in the scalar form) at most at cell + the block's total
-  /// weight. The first block where some key's bound exceeds
-  /// `max_estimate` is left unapplied, and so is everything after it.
-  /// Cells only grow, so every estimate a key of an applied block
-  /// passes through is at most `max_estimate` — ASketch uses this to
-  /// prove that no tuple of the block could have won a filter exchange.
+  /// Applies tuples in blocks of kBlockKeys, in order. Before a block is
+  /// applied, each of its keys gets an upper bound on its estimate after
+  /// the block: the min over rows of the row's final cell, where a row
+  /// whose block buckets are all distinct ends at exactly cell + the
+  /// key's weight, and any other row (every row in the scalar form) at
+  /// most at cell + the block's total weight. The first block where
+  /// some key's bound exceeds `max_estimate` is left unapplied, and so
+  /// is everything after it. Cells only grow, so every estimate a key
+  /// of an applied block passes through is at most `max_estimate` —
+  /// ASketch uses this to prove that no tuple of the block could have
+  /// won a filter exchange.
   /// Returns the number of tuples applied (a multiple of kBlockKeys, or
-  /// tuples.size()). Applies nothing and returns 0 under the
-  /// conservative policy, or when a finite bound meets a width above
-  /// kBlockMaxWidth.
+  /// tuples.size()). Applies nothing and returns 0 when a finite bound
+  /// meets a width above kBlockMaxWidth.
   ///
   /// The kernel hashes 64 keys per PrepareUpdateBatch call. Per block
   /// and row it gathers 16 cells, adds 16 weights with unsigned
@@ -219,7 +205,7 @@ class CountMin {
   const CountMinConfig& config() const { return config_; }
 
   /// Sum of all cells in one row == total stream count pushed through the
-  /// sketch (plain policy only). Used by tests and the selectivity model.
+  /// sketch. Used by tests and the selectivity model.
   wide_count_t RowSum(uint32_t row) const;
 
   /// Storage footprint of the cell array in bytes.
@@ -233,21 +219,19 @@ class CountMin {
 
   /// Whether AdoptFrom(other) can replace this sketch's state without
   /// reallocating the cell array or rebuilding the hash functions
-  /// concurrent readers are using: full config match (the update policy
-  /// may differ — it does not affect layout or hashing).
+  /// concurrent readers are using: full config match.
   bool CanAdoptFrom(const CountMin& other) const {
     return CompatibleWith(other);
   }
 
-  /// Replaces this sketch's cells (and update policy) with `other`'s,
-  /// in place: the cell array is never reallocated, so lock-free
-  /// readers racing the adoption observe a mix of old and new cell
-  /// values, never freed memory. Requires CanAdoptFrom(other); the
-  /// caller must exclude concurrent updaters (e.g. hold the shard mutex
-  /// during snapshot re-adoption).
+  /// Replaces this sketch's cells with `other`'s, in place: the cell
+  /// array is never reallocated, so lock-free readers racing the
+  /// adoption observe a mix of old and new cell values, never freed
+  /// memory. Requires CanAdoptFrom(other); the caller must exclude
+  /// concurrent updaters (e.g. hold the shard mutex during snapshot
+  /// re-adoption).
   void AdoptFrom(CountMin&& other) {
     ASKETCH_CHECK(CanAdoptFrom(other));
-    config_.policy = other.config_.policy;
     for (size_t i = 0; i < cells_.size(); ++i) {
       RelaxedStore(cells_[i], other.cells_[i]);
     }
@@ -260,10 +244,12 @@ class CountMin {
   std::optional<std::string> MergeFrom(const CountMin& other);
 
   /// Writes config + cells; hash functions are reconstructed from the
-  /// seed on load.
+  /// seed on load. The config ends in one reserved byte, always 0, which
+  /// keeps the layout of existing snapshots and synopses.
   bool SerializeTo(BinaryWriter& writer) const;
 
-  /// Inverse of SerializeTo; std::nullopt on malformed input.
+  /// Inverse of SerializeTo; std::nullopt on malformed input, which
+  /// includes a nonzero reserved byte.
   static std::optional<CountMin> DeserializeFrom(BinaryReader& reader);
 
   /// Snapshot-envelope payload tag (registry: src/common/snapshot.h).

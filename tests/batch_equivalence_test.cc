@@ -132,23 +132,6 @@ TEST(BatchEquivalenceTest, RelaxedHeapFilterCountSketch) {
   });
 }
 
-TEST(BatchEquivalenceTest, ConservativeCountMin) {
-  // Conservative update's prepared path shares less code with the plain
-  // one (UpdateAndEstimateAt has a dedicated branch), so cover it too.
-  auto make = [] {
-    CountMinConfig cm = CountMinConfig::FromSpaceBudget(12 * 1024, 4, 11);
-    cm.policy = CmUpdatePolicy::kConservative;
-    RelaxedHeapFilter filter(16);
-    return ASketch<RelaxedHeapFilter, CountMin>(std::move(filter),
-                                                CountMin(cm));
-  };
-  for (size_t s = 0; s < kSlicings.size(); ++s) {
-    SCOPED_TRACE("slicing " + std::to_string(s));
-    CheckEquivalence(make(), make(), MakeStream(/*seed=*/s + 40, 6000),
-                     kSlicings[s]);
-  }
-}
-
 TEST(BatchEquivalenceTest, ExchangesDisabled) {
   auto make = [] {
     auto as = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());

@@ -7,7 +7,6 @@
 
 #include "src/common/random.h"
 #include "src/workload/exact_counter.h"
-#include "src/workload/stream_generator.h"
 
 namespace asketch {
 namespace {
@@ -31,11 +30,10 @@ TEST(CountMinConfigTest, ValidatesParameters) {
   EXPECT_TRUE(config.Validate().has_value());
 }
 
-TEST(CountMinConfigTest, RejectsWidthBeyondConservativeBucketBlock) {
-  // Regression: the conservative update path stages one bucket per row
-  // in a fixed uint32_t[64] block guarded only by a DCHECK, so a
-  // width-65 config used to validate fine and overflow the stack in
-  // release builds. Validate() must reject it up front.
+TEST(CountMinConfigTest, RejectsWidthBeyondBatchBucketBlock) {
+  // UpdateBatchBounded stages the buckets of a 64-key hashed chunk in a
+  // fixed on-stack block sized for kMaxWidth rows, so a wider config
+  // would overflow the stack. Validate() must reject it up front.
   CountMinConfig config = SmallConfig();
   config.width = CountMinConfig::kMaxWidth;
   EXPECT_FALSE(config.Validate().has_value());
@@ -207,20 +205,6 @@ TEST(CountMinTest, UpdateAndEstimateMatchesSeparateCalls) {
   }
 }
 
-TEST(CountMinTest, UpdateAndEstimateConservativePolicy) {
-  CountMinConfig config = SmallConfig(4, 128, 31);
-  config.policy = CmUpdatePolicy::kConservative;
-  CountMin fused(config);
-  CountMin plain(config);
-  Rng rng(43);
-  for (int i = 0; i < 10000; ++i) {
-    const item_t key = static_cast<item_t>(rng.NextBounded(1000));
-    const count_t fused_estimate = fused.UpdateAndEstimate(key, 1);
-    plain.Update(key, 1);
-    ASSERT_EQ(fused_estimate, plain.Estimate(key)) << "step " << i;
-  }
-}
-
 /// Tuples over `domain` keys whose weights mix small values, zeros and
 /// values near 2^32 (so cells saturate).
 std::vector<Tuple> MixedWeightTuples(size_t n, uint32_t domain,
@@ -299,79 +283,34 @@ TEST(CountMinTest, UpdateBatchBoundedDeclinesWhatItCannotBound) {
   EXPECT_EQ(wide.UpdateBatchBounded(tuples, 1000), 0u);
   EXPECT_EQ(wide.UpdateBatchBounded(tuples, CountMin::kUnbounded),
             tuples.size());
-  CountMinConfig conservative = SmallConfig(4, 256);
-  conservative.policy = CmUpdatePolicy::kConservative;
-  CountMin cons(conservative);
-  EXPECT_EQ(cons.UpdateBatchBounded(tuples, CountMin::kUnbounded), 0u);
-  EXPECT_EQ(CellBytes(cons), CellBytes(CountMin(conservative)));
 }
 
-TEST(CountMinTest, AdoptFromCarriesUpdatePolicy) {
-  // AdoptFrom copies the donor's update policy along with its cells: a
-  // --recover-style re-adoption of a conservative-policy snapshot into a
-  // plain-policy instance must continue updating conservatively (and
-  // vice versa), or estimates drift from the recovered lineage.
-  CountMinConfig plain_config = SmallConfig(4, 128, 21);
-  CountMinConfig cons_config = plain_config;
-  cons_config.policy = CmUpdatePolicy::kConservative;
-
-  CountMin donor(cons_config);
-  CountMin reference(cons_config);
+TEST(CountMinTest, AdoptFromCopiesCellsAndKeepsUpdating) {
+  // AdoptFrom (--recover's snapshot re-adoption) replaces the cells in
+  // place; updates after it must leave exactly the cells of a sketch
+  // that saw the donor's prefix and the suffix all along.
+  const CountMinConfig config = SmallConfig(4, 128, 21);
+  CountMin donor(config);
+  CountMin reference(config);
   Rng rng(29);
-  std::vector<Tuple> prefix;
   for (int i = 0; i < 20000; ++i) {
-    prefix.push_back(Tuple{static_cast<item_t>(rng.NextBounded(1000)), 1});
-  }
-  for (const Tuple& t : prefix) {
-    donor.Update(t.key, t.value);
-    reference.Update(t.key, t.value);
+    const item_t key = static_cast<item_t>(rng.NextBounded(1000));
+    donor.Update(key, 1);
+    reference.Update(key, 1);
   }
 
-  CountMin adopted(plain_config);  // plain policy before the adoption
+  CountMin adopted(config);
+  adopted.Update(7, 3);  // stale state the adoption must overwrite
   ASSERT_TRUE(adopted.CanAdoptFrom(donor));
   adopted.AdoptFrom(std::move(donor));
-  EXPECT_EQ(adopted.config().policy, CmUpdatePolicy::kConservative);
+  EXPECT_EQ(CellBytes(adopted), CellBytes(reference));
 
-  // Post-adoption updates must follow the adopted (conservative) policy:
-  // bit-identical estimates to a sketch that was conservative all along.
-  std::vector<Tuple> suffix;
   for (int i = 0; i < 20000; ++i) {
-    suffix.push_back(Tuple{static_cast<item_t>(rng.NextBounded(1000)), 1});
+    const item_t key = static_cast<item_t>(rng.NextBounded(1000));
+    adopted.Update(key, 1);
+    reference.Update(key, 1);
   }
-  for (const Tuple& t : suffix) {
-    adopted.Update(t.key, t.value);
-    reference.Update(t.key, t.value);
-  }
-  for (item_t key = 0; key < 1000; ++key) {
-    ASSERT_EQ(adopted.Estimate(key), reference.Estimate(key))
-        << "key " << key;
-  }
-}
-
-TEST(CountMinConservativeTest, AtLeastAsAccurateAsPlain) {
-  CountMinConfig plain_config = SmallConfig(4, 128, 21);
-  CountMinConfig cons_config = plain_config;
-  cons_config.policy = CmUpdatePolicy::kConservative;
-  CountMin plain(plain_config);
-  CountMin conservative(cons_config);
-  ExactCounter truth(2000);
-  StreamSpec spec;
-  spec.stream_size = 50000;
-  spec.num_distinct = 2000;
-  spec.skew = 1.2;
-  for (const Tuple& t : GenerateStream(spec)) {
-    plain.Update(t.key, t.value);
-    conservative.Update(t.key, t.value);
-    truth.Update(t.key, t.value);
-  }
-  wide_count_t plain_error = 0, cons_error = 0;
-  for (item_t key = 0; key < 2000; ++key) {
-    ASSERT_GE(conservative.Estimate(key), truth.Count(key));
-    ASSERT_LE(conservative.Estimate(key), plain.Estimate(key));
-    plain_error += plain.Estimate(key) - truth.Count(key);
-    cons_error += conservative.Estimate(key) - truth.Count(key);
-  }
-  EXPECT_LE(cons_error, plain_error);
+  EXPECT_EQ(CellBytes(adopted), CellBytes(reference));
 }
 
 }  // namespace

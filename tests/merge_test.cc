@@ -238,6 +238,27 @@ TYPED_TEST(ASketchMergeTest, MergedHotKeysStayTight) {
   EXPECT_LE(est, t * 1.1 + 2.0 * split.truth.Total() / 1000);
 }
 
+TYPED_TEST(ASketchMergeTest, MergeKeepsMassAccounting) {
+  // Each half of the merged weight split is the sum of the inputs'
+  // halves: step 2 re-applies filter-era mass that b's filtered weight
+  // already counts, and must not book it again.
+  const SplitStream split = MakeSplit(1.3);
+  auto a = MakeASketchCountMin<TypeParam>(MergeConfig());
+  auto b = MakeASketchCountMin<TypeParam>(MergeConfig());
+  for (const Tuple& t : split.first) a.Update(t.key, t.value);
+  for (const Tuple& t : split.second) b.Update(t.key, t.value);
+  const ASketchStats sa = a.stats();
+  const ASketchStats sb = b.stats();
+  ASSERT_GT(sb.filtered_weight, 0u);
+  ASSERT_GT(sb.sketch_weight, 0u);
+  ASSERT_FALSE(a.MergeFrom(b).has_value());
+  EXPECT_EQ(a.stats().filtered_weight,
+            sa.filtered_weight + sb.filtered_weight);
+  EXPECT_EQ(a.stats().sketch_weight, sa.sketch_weight + sb.sketch_weight);
+  EXPECT_EQ(a.stats().filtered_weight + a.stats().sketch_weight,
+            split.truth.Total());
+}
+
 TYPED_TEST(ASketchMergeTest, MergeRejectsMismatchedConfigs) {
   auto a = MakeASketchCountMin<TypeParam>(MergeConfig());
   ASketchConfig other_config = MergeConfig();

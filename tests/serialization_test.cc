@@ -89,15 +89,23 @@ TEST(SerializationTest, CountMinRoundTrip) {
   EXPECT_EQ(restored.RowSum(0), sketch.RowSum(0));
 }
 
-TEST(SerializationTest, CountMinConservativePolicySurvives) {
-  CountMinConfig config = CountMinConfig::FromSpaceBudget(8 * 1024, 4, 9);
-  config.policy = CmUpdatePolicy::kConservative;
-  CountMin sketch(config);
+TEST(SerializationTest, CountMinRejectsNonzeroReservedByte) {
+  // The byte after the seed is reserved: it is always written as 0, and
+  // any other value marks the blob as malformed.
+  CountMin sketch(CountMinConfig::FromSpaceBudget(8 * 1024, 4, 9));
   sketch.Update(1, 10);
-  CountMin restored = RoundTrip(sketch);
-  EXPECT_EQ(restored.config().policy, CmUpdatePolicy::kConservative);
-  restored.Update(1, 5);
-  EXPECT_EQ(restored.Estimate(1), 15u);
+  BinaryWriter writer;
+  ASSERT_TRUE(sketch.SerializeTo(writer));
+  std::vector<uint8_t> bytes = writer.buffer();
+  constexpr size_t kReservedOffset = 4 + 4 + 4 + 8;  // magic, w, h, seed
+  ASSERT_EQ(bytes[kReservedOffset], 0u);
+  {
+    BinaryReader reader(bytes);
+    EXPECT_TRUE(CountMin::DeserializeFrom(reader).has_value());
+  }
+  bytes[kReservedOffset] = 1;
+  BinaryReader reader(bytes);
+  EXPECT_FALSE(CountMin::DeserializeFrom(reader).has_value());
 }
 
 TEST(SerializationTest, SalsaCountMinRoundTrip) {

@@ -1,0 +1,150 @@
+#!/usr/bin/env bash
+# Coverage census: which functions under src/ and tools/ does no kept
+# driver reach?
+#
+# Builds the whole tree (tests included, so every template instantiation
+# they make is emitted with zero counts) with --coverage at -O0 in
+# <scratch_dir>/build, then runs only the drivers the project keeps:
+#
+#   - the 16 paper figure and table benches and bench_salsa_accuracy, at
+#     ASKETCH_BENCH_SCALE=0.01;
+#   - tools_smoke, asketchd_recovery_smoke and asketchd_chaos_smoke;
+#   - the six examples (each is also a ctest);
+#   - a clean-exit asketchd pass per backend: --prefix, an
+#     asketch_loadgen run with --verify and --snapshot, then SIGTERM. A
+#     process killed with -9 writes no .gcda file, so the smokes alone
+#     under-count the daemon.
+#
+# No unit test runs. The census then reads every .gcno/.gcda pair with
+# `gcov --json-format` and prints each source-level function under src/
+# and tools/ that never executed in any instantiation or translation
+# unit, as `path:line  name`, followed by a per-file count.
+#
+# usage: tools/coverage_census.sh <scratch_dir>
+set -u
+
+SCRATCH=${1:?usage: coverage_census.sh <scratch_dir>}
+REPO_ROOT=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$SCRATCH"
+SCRATCH=$(cd "$SCRATCH" && pwd)
+BUILD="$SCRATCH/build"
+LOGS="$SCRATCH/logs"
+mkdir -p "$LOGS"
+
+fail() { echo "FAIL: $*" >&2; exit 1; }
+
+PAPER_BENCHES=(bench_table1 bench_fig03_selectivity bench_fig05_throughput
+  bench_table3_misclassification bench_fig07_error bench_fig08_fcm
+  bench_table5_precision bench_fig09_exchanges bench_fig10_realworld
+  bench_fig11_spacesaving bench_fig12_pipeline bench_fig13_spmd
+  bench_fig14_filters bench_fig15_filter_size bench_appendix
+  bench_fig17_selectivity_model bench_salsa_accuracy)
+EXAMPLES=(quickstart heavy_hitters network_monitor pipeline_demo nlp_pmi
+  load_balancer)
+
+# ------------------------------------------------------------- build
+cmake -S "$REPO_ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="--coverage -O0" \
+  -DCMAKE_EXE_LINKER_FLAGS="--coverage" >"$LOGS/configure.log" 2>&1 \
+  || fail "configure: see $LOGS/configure.log"
+cmake --build "$BUILD" -j 4 >"$LOGS/build.log" 2>&1 \
+  || fail "build: see $LOGS/build.log"
+# Counts from an earlier census would leak into this one.
+find "$BUILD" -name '*.gcda' -delete
+
+# ----------------------------------------------------------- drivers
+for bench in "${PAPER_BENCHES[@]}"; do
+  ASKETCH_BENCH_SCALE=0.01 "$BUILD/bench/$bench" >"$LOGS/$bench.log" 2>&1 \
+    || fail "$bench: see $LOGS/$bench.log"
+done
+echo "ran ${#PAPER_BENCHES[@]} paper benches at scale 0.01" >&2
+
+for smoke in tools_smoke asketchd_recovery_smoke asketchd_chaos_smoke; do
+  bash "$REPO_ROOT/tools/$smoke.sh" "$BUILD" >"$LOGS/$smoke.log" 2>&1 \
+    || fail "$smoke: see $LOGS/$smoke.log"
+done
+echo "ran tools_smoke, asketchd_recovery_smoke, asketchd_chaos_smoke" >&2
+
+for example in "${EXAMPLES[@]}"; do
+  "$BUILD/examples/$example" >"$LOGS/$example.log" 2>&1 \
+    || fail "$example: see $LOGS/$example.log"
+done
+echo "ran ${#EXAMPLES[@]} examples" >&2
+
+# Clean-exit daemon pass: SIGTERM drains, checkpoints and returns from
+# main, so the daemon's counts reach its .gcda files.
+for backend in countmin salsa; do
+  log="$LOGS/asketchd_$backend.log"
+  rm -rf "$SCRATCH/ckpt_$backend"
+  "$BUILD/tools/asketchd" --port 0 --shards 4 --bytes 32768 \
+    --sketch "$backend" --prefix "$SCRATCH/ckpt_$backend/serve" >"$log" 2>&1 &
+  pid=$!
+  trap 'kill -9 "$pid" 2>/dev/null' EXIT
+  port=""
+  for _ in $(seq 1 100); do
+    port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")
+    [ -n "$port" ] && break
+    sleep 0.1
+  done
+  [ -n "$port" ] || fail "asketchd ($backend) never listened: see $log"
+  for args in "--tuples 200000 --keys 20000 --seed 5 --verify" --snapshot; do
+    # shellcheck disable=SC2086  # one word per flag
+    "$BUILD/tools/asketch_loadgen" --port "$port" $args \
+      >>"$LOGS/loadgen_$backend.log" 2>&1 \
+      || fail "loadgen $args ($backend): see $LOGS/loadgen_$backend.log"
+  done
+  kill -TERM "$pid"
+  wait "$pid" || fail "asketchd ($backend) exited nonzero after SIGTERM"
+  trap - EXIT
+done
+echo "ran a clean-exit asketchd pass per backend" >&2
+
+# ------------------------------------------------------------ report
+# A function is listed only if its count is zero in every translation
+# unit and every template instantiation that carries its source line.
+find "$BUILD" -name '*.gcno' -not -path '*/CMakeFiles/CMakeScratch/*' \
+  >"$SCRATCH/gcno.txt"
+python3 - "$REPO_ROOT" "$SCRATCH/gcno.txt" <<'PY'
+import collections, json, os, subprocess, sys
+from concurrent.futures import ThreadPoolExecutor
+
+root, listing = sys.argv[1], sys.argv[2]
+kept = tuple(os.path.join(root, d) + os.sep for d in ("src", "tools"))
+gcnos = [line.strip() for line in open(listing) if line.strip()]
+
+def read(gcno):
+    out = subprocess.run(
+        ["gcov", "--json-format", "--stdout", "--demangled-names",
+         os.path.basename(gcno)],
+        cwd=os.path.dirname(gcno), capture_output=True, text=True)
+    return [json.loads(doc) for doc in out.stdout.splitlines() if doc.strip()]
+
+counts = collections.defaultdict(int)
+names = {}
+with ThreadPoolExecutor(max_workers=4) as pool:
+    for docs in pool.map(read, gcnos):
+        for doc in docs:
+            for f in doc.get("files", []):
+                path = os.path.normpath(os.path.join(
+                    doc.get("current_working_directory", ""), f["file"]))
+                if not path.startswith(kept):
+                    continue
+                rel = os.path.relpath(path, root)
+                for fn in f.get("functions", []):
+                    key = (rel, fn["start_line"])
+                    counts[key] += fn["execution_count"]
+                    names.setdefault(key, fn.get("demangled_name", fn["name"]))
+
+never = sorted(k for k, c in counts.items() if c == 0)
+per_file = collections.Counter(rel for rel, _ in never)
+for rel, line in never:
+    name = names[(rel, line)]
+    if len(name) > 110:
+        name = name[:107] + "..."
+    print(f"{rel}:{line}  {name}")
+print()
+print(f"never executed: {len(never)} of {len(counts)} functions "
+      f"under src/ and tools/")
+for rel, n in sorted(per_file.items()):
+    print(f"  {n:4d}  {rel}")
+PY
