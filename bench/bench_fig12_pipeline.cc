@@ -22,16 +22,20 @@ namespace {
 
 constexpr size_t kBudget = 128 * 1024;
 
+/// Items/ms of the two-thread pipeline; `stats` receives its counters.
 double PipelineThroughput(const Workload& workload,
-                          const ASketchConfig& config) {
+                          const ASketchConfig& config,
+                          PipelineStats* stats) {
   PipelineASketch pipeline(config);
   Stopwatch timer;
   for (const Tuple& t : workload.stream) {
     pipeline.Update(t.key, t.value);
   }
   pipeline.Flush();
-  return static_cast<double>(workload.stream.size()) /
-         timer.ElapsedMillis();
+  const double throughput = static_cast<double>(workload.stream.size()) /
+                            timer.ElapsedMillis();
+  *stats = pipeline.stats();
+  return throughput;
 }
 
 double PipelineUdafThroughput(const Workload& workload) {
@@ -55,8 +59,11 @@ void Main() {
       + std::to_string(std::thread::hardware_concurrency()) +
       " hardware thread(s); the paper used 8 cores.",
       SyntheticSpec(0, scale).ToString());
-  std::printf("%-8s %20s %20s %20s\n", "skew", "ASketch (items/ms)",
-              "Parallel ASketch", "Parallel H-UDAF");
+  // `forwarded` counts the tuples the filter stage sent to the sketch
+  // stage and `full_spins` its waits on a full forward queue.
+  std::printf("%-8s %20s %20s %20s %12s %12s\n", "skew",
+              "ASketch (items/ms)", "Parallel ASketch", "Parallel H-UDAF",
+              "forwarded", "full_spins");
   for (const double skew : SkewGrid()) {
     const Workload workload(SyntheticSpec(skew, scale));
     ASketchConfig config;
@@ -65,10 +72,13 @@ void Main() {
     config.filter_items = 32;
     auto sequential = MakeASketchCountMin<RelaxedHeapFilter>(config);
     const double seq = UpdateThroughput(sequential, workload.stream);
-    const double par = PipelineThroughput(workload, config);
+    PipelineStats stats;
+    const double par = PipelineThroughput(workload, config, &stats);
     const double udaf_thpt = PipelineUdafThroughput(workload);
-    std::printf("%-8.2f %20.0f %20.0f %20.0f\n", skew, seq, par,
-                udaf_thpt);
+    std::printf("%-8.2f %20.0f %20.0f %20.0f %12llu %12llu\n", skew, seq,
+                par, udaf_thpt,
+                static_cast<unsigned long long>(stats.forwarded),
+                static_cast<unsigned long long>(stats.forward_full_spins));
   }
 }
 

@@ -94,7 +94,7 @@ struct ASketchStats {
 };
 
 /// The Augmented Sketch, composed of a FilterType and a sketch backend.
-template <FilterType FilterT, FrequencyEstimatorType SketchT>
+template <FilterType FilterT, SketchBackendType SketchT>
 class ASketch {
  public:
   /// Takes ownership of a constructed filter and sketch. Use the
@@ -642,13 +642,7 @@ class ASketch {
     for (size_t begin = 0; begin < n; begin += kChunk) {
       const size_t count = std::min(kChunk, n - begin);
       for (size_t i = 0; i < count; ++i) keys[i] = tuples[begin + i].key;
-      if constexpr (requires(const FilterT& f) {
-                      f.FindBatch(keys, count, slots);
-                    }) {
-        filter_.FindBatch(keys, count, slots);
-      } else {
-        for (size_t i = 0; i < count; ++i) slots[i] = filter_.Find(keys[i]);
-      }
+      filter_.FindBatch(keys, count, slots);
       // Hash (and, for out-of-cache sketches, warm) the sketch rows of
       // the probed misses before the in-order walk reaches them; hits
       // never touch the sketch.
@@ -682,11 +676,7 @@ class ASketch {
           stats_.filtered_weight += static_cast<wide_count_t>(delta);
           ASKETCH_TELEMETRY_ONLY(
               pending_.filtered_weight += static_cast<uint64_t>(delta);)
-          if constexpr (requires { FilterT::HitInvalidatesSlots(slot); }) {
-            if (FilterT::HitInvalidatesSlots(slot)) slots_valid = false;
-          } else {
-            slots_valid = false;
-          }
+          if (FilterT::HitInvalidatesSlots(slot)) slots_valid = false;
           continue;
         }
         // Buckets were prepared iff the original probe reported a miss;
@@ -725,7 +715,7 @@ class ASketch {
   /// one-exchange-per-insertion rule. Returns true when the filter's
   /// membership changed (insertion or exchange) — i.e. slots found before
   /// this call are stale. `prepared` optionally carries the bucket
-  /// indices PrepareUpdate/PrepareUpdateBatch computed for `key` (batch
+  /// indices PrepareUpdateBatch computed for `key` (batch
   /// path; row r's bucket at prepared[r*stride]); they replace the hash
   /// pass of the sketch insert with a bit-identical replay.
   bool MissPositive(item_t key, delta_t delta,
@@ -740,9 +730,8 @@ class ASketch {
           pending_.filtered_weight += static_cast<uint64_t>(delta);)
       return true;
     }
-    // Lines 7-9: forward to the sketch and read back the new estimate.
-    // Backends exposing the fused UpdateAndEstimate hash only once here;
-    // others fall back to Update + Estimate.
+    // Lines 7-9: forward to the sketch and read back the new estimate,
+    // hashing once (or not at all, through prepared buckets).
     count_t estimate;
     if constexpr (requires(SketchT& s) {
                     s.UpdateAndEstimateAt(prepared, delta, stride);
@@ -750,12 +739,12 @@ class ASketch {
       if (prepared != nullptr) {
         estimate = sketch_.UpdateAndEstimateAt(prepared, delta, stride);
       } else {
-        estimate = UpdateAndEstimateUnprepared(key, delta);
+        estimate = sketch_.UpdateAndEstimate(key, delta);
       }
     } else {
       (void)prepared;
       (void)stride;
-      estimate = UpdateAndEstimateUnprepared(key, delta);
+      estimate = sketch_.UpdateAndEstimate(key, delta);
     }
     ++stats_.sketch_updates;
     stats_.sketch_weight += static_cast<wide_count_t>(delta);
@@ -810,17 +799,6 @@ class ASketch {
       ++pending_.exchange_writebacks;
       ++pending_.sketch_updates;
     })
-  }
-
-  count_t UpdateAndEstimateUnprepared(item_t key, delta_t delta) {
-    if constexpr (requires(SketchT& s) {
-                    s.UpdateAndEstimate(key, delta);
-                  }) {
-      return sketch_.UpdateAndEstimate(key, delta);
-    } else {
-      sketch_.Update(key, delta);
-      return sketch_.Estimate(key);
-    }
   }
 
   void UpdateNegative(item_t key, delta_t delta) {

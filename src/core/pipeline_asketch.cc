@@ -1,80 +1,32 @@
 #include "src/core/pipeline_asketch.h"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "src/obs/core_metrics.h"
 
 namespace asketch {
 
 PipelineASketch::PipelineASketch(const ASketchConfig& config,
-                                 size_t queue_capacity,
-                                 PipelineOverloadOptions overload)
+                                 size_t queue_capacity)
     : filter_(config.filter_items),
       sketch_(CountMinConfig::FromSpaceBudget(
           internal::SketchBudgetBytes<RelaxedHeapFilter>(config),
           config.width, config.seed)),
       forward_(queue_capacity),
-      reverse_(queue_capacity),
-      overload_(overload) {
+      reverse_(queue_capacity) {
   ASKETCH_CHECK(!config.Validate().has_value());
-  ASKETCH_CHECK(overload_.max_push_spins >= 1);
-  ASKETCH_TELEMETRY_ONLY({
-    // Live forward-queue occupancy, labeled per pipeline instance;
-    // evaluated only when the registry is collected.
-    static std::atomic<uint64_t> next_instance{0};
-    const uint64_t instance =
-        next_instance.fetch_add(1, std::memory_order_relaxed);
-    queue_depth_gauge_id_ =
-        obs::MetricsRegistry::Global().RegisterCallbackGauge(
-            "asketch_pipeline_queue_depth",
-            "pipeline=\"" + std::to_string(instance) + "\"",
-            [this]() -> double {
-              return static_cast<double>(forward_.SizeApprox());
-            });
-  })
-  worker_ = std::thread([this] { SketchStageMain(); });
+  worker_ = std::thread([this] { SketchStageLoop(); });
 }
 
 PipelineASketch::~PipelineASketch() {
-  // Unregister first: it blocks until no Collect() is mid-callback, after
-  // which nothing outside can reach this instance.
-  ASKETCH_TELEMETRY_ONLY({
-    obs::MetricsRegistry::Global().UnregisterCallbackGauge(
-        queue_depth_gauge_id_);
-    obs::PipelineMetrics& metrics = obs::PipelineMetrics::Get();
-    if (stats_.degraded) metrics.degraded.Add(-1);
-    if (stats_.worker_dead) metrics.worker_dead.Add(-1);
-  })
   stop_.store(true, std::memory_order_release);
   worker_.join();
 }
 
-void PipelineASketch::MarkDegraded() {
-  if (stats_.degraded) return;
-  stats_.degraded = true;
-  ASKETCH_TELEMETRY_ONLY(obs::PipelineMetrics::Get().degraded.Add(1);)
-}
-
-PipelineASketch::PushResult PipelineASketch::PushForwardUpdate(
-    item_t key, count_t weight) {
+bool PipelineASketch::PushForwardUpdate(item_t key, count_t weight) {
   const ForwardMsg msg{ForwardKind::kUpdate, key, weight};
-  uint32_t spins = 0;
-  while (true) {
-    if (worker_dead_.load(std::memory_order_acquire)) {
-      OnWorkerDeath();
-      ApplyOverload(key, weight);
-      return PushResult::kOverload;
-    }
-    if (forward_.TryPush(msg)) {
-      ++produced_;
-      return PushResult::kQueued;
-    }
+  while (!forward_.TryPush(msg)) {
     ++stats_.forward_full_spins;
-    ASKETCH_TELEMETRY_ONLY(
-        obs::PipelineMetrics::Get().forward_full_spins.Increment();)
-    // Backpressure: briefly help by draining reverse messages so neither
-    // side can deadlock on two full queues.
+    // Backpressure: drain reverse messages while waiting, so a sketch
+    // stage blocked on delivering a fix-up can make progress.
     DrainReverseQueue();
     // The drain may have accepted an exchange for this very key. If the
     // key is now filter-resident, pushing the update anyway would place
@@ -86,111 +38,16 @@ PipelineASketch::PushResult PipelineASketch::PushForwardUpdate(
       const bool was_min = filter_.NewCount(slot) == filter_.MinNewCount();
       filter_.AddToNewCount(slot, static_cast<delta_t>(weight));
       if (was_min) PublishMin();
-      return PushResult::kAbsorbed;
+      return false;
     }
-    if (++spins >= overload_.max_push_spins) {
-      // No drain runs between the Find above and ApplyOverload, so the
-      // key is still sketch-resident: the inline update is safe.
-      MarkDegraded();
-      ApplyOverload(key, weight);
-      return PushResult::kOverload;
-    }
-  }
-}
-
-bool PipelineASketch::TryPushMark(item_t key) {
-  const ForwardMsg msg{ForwardKind::kMark, key, 0};
-  // Yield-only (no reverse drain): this runs inside DrainReverseQueue,
-  // which must not re-enter itself.
-  for (uint32_t spins = 0; spins < overload_.max_push_spins; ++spins) {
-    if (worker_dead_.load(std::memory_order_acquire)) return false;
-    if (forward_.TryPush(msg)) {
-      ++produced_;
-      return true;
-    }
-    ++stats_.forward_full_spins;
-    ASKETCH_TELEMETRY_ONLY(
-        obs::PipelineMetrics::Get().forward_full_spins.Increment();)
     std::this_thread::yield();
   }
-  MarkDegraded();
-  return false;
-}
-
-void PipelineASketch::PushVictimWriteback(item_t key, count_t weight) {
-  const ForwardMsg msg{ForwardKind::kUpdate, key, weight};
-  // Yield-only, for the same non-reentrancy reason as TryPushMark.
-  for (uint32_t spins = 0; spins < overload_.max_push_spins; ++spins) {
-    if (worker_dead_.load(std::memory_order_acquire)) break;
-    if (forward_.TryPush(msg)) {
-      ++produced_;
-      return;
-    }
-    ++stats_.forward_full_spins;
-    ASKETCH_TELEMETRY_ONLY(
-        obs::PipelineMetrics::Get().forward_full_spins.Increment();)
-    std::this_thread::yield();
-  }
-  MarkDegraded();
-  ApplyOverload(key, weight);
-}
-
-void PipelineASketch::ApplyOverload(item_t key, count_t weight) {
-  if (overload_.policy == OverloadPolicy::kShed) {
-    stats_.shed_tuples += weight;
-    ASKETCH_TELEMETRY_ONLY(
-        obs::PipelineMetrics::Get().shed_weight.Add(weight);)
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(sketch_mutex_);
-    sketch_.Update(key, static_cast<delta_t>(weight));
-  }
-  ++stats_.inline_applied;
-  ASKETCH_TELEMETRY_ONLY(
-      obs::PipelineMetrics::Get().inline_applied.Increment();)
-}
-
-void PipelineASketch::OnWorkerDeath() {
-  if (!stats_.worker_dead) {
-    stats_.worker_dead = true;
-    ASKETCH_TELEMETRY_ONLY(
-        obs::PipelineMetrics::Get().worker_dead.Add(1);)
-  }
-  MarkDegraded();
-  if (worker_absorbed_) return;
-  worker_absorbed_ = true;
-  // The worker set worker_dead_ (release) after its last queue access,
-  // and we read it with acquire, so taking over the consumer side of the
-  // forward queue is safe. Absorb it in FIFO order: updates land in the
-  // sketch exactly as the worker would have applied them, and each mark
-  // resolves to an immediate fix-up whose estimate — computed after all
-  // earlier queued occurrences — is exactly what the protocol promises.
-  ForwardMsg msg;
-  while (forward_.TryPop(&msg)) {
-    switch (msg.kind) {
-      case ForwardKind::kUpdate: {
-        std::lock_guard<std::mutex> lock(sketch_mutex_);
-        sketch_.Update(msg.key, static_cast<delta_t>(msg.weight));
-        break;
-      }
-      case ForwardKind::kMark: {
-        count_t estimate = 0;
-        {
-          std::lock_guard<std::mutex> lock(sketch_mutex_);
-          estimate = sketch_.Estimate(msg.key);
-        }
-        ApplyFixup(msg.key, estimate);
-        break;
-      }
-    }
-    consumed_.fetch_add(1, std::memory_order_release);
-  }
+  ++produced_;
+  return true;
 }
 
 void PipelineASketch::Update(item_t key, delta_t delta) {
   ASKETCH_CHECK(delta >= 1);
-  if (worker_dead_.load(std::memory_order_acquire)) OnWorkerDeath();
   DrainReverseQueue();
   const int32_t slot = filter_.Find(key);
   if (slot >= 0) {
@@ -198,8 +55,6 @@ void PipelineASketch::Update(item_t key, delta_t delta) {
     filter_.AddToNewCount(slot, delta);
     if (was_min) PublishMin();
     ++stats_.filter_hits;
-    ASKETCH_TELEMETRY_ONLY(
-        obs::PipelineMetrics::Get().filter_hits.Increment();)
     return;
   }
   const count_t weight = static_cast<count_t>(
@@ -208,23 +63,12 @@ void PipelineASketch::Update(item_t key, delta_t delta) {
     filter_.Insert(key, weight, /*old_count=*/0);
     PublishMin();
     ++stats_.filter_hits;
-    ASKETCH_TELEMETRY_ONLY(
-        obs::PipelineMetrics::Get().filter_hits.Increment();)
     return;
   }
-  switch (PushForwardUpdate(key, weight)) {
-    case PushResult::kQueued:
-      ++stats_.forwarded;
-      ASKETCH_TELEMETRY_ONLY(
-          obs::PipelineMetrics::Get().forwarded.Increment();)
-      break;
-    case PushResult::kAbsorbed:
-      ++stats_.filter_hits;  // absorbed during backpressure
-      ASKETCH_TELEMETRY_ONLY(
-          obs::PipelineMetrics::Get().filter_hits.Increment();)
-      break;
-    case PushResult::kOverload:
-      break;  // accounted as inline_applied or shed_tuples
+  if (PushForwardUpdate(key, weight)) {
+    ++stats_.forwarded;
+  } else {
+    ++stats_.filter_hits;  // absorbed during backpressure
   }
 }
 
@@ -234,8 +78,6 @@ void PipelineASketch::ApplyFixup(item_t key, count_t estimate) {
     // Evicted in the meantime; the eviction already wrote the exact
     // filter-era hits back to the sketch.
     ++stats_.fixups_dropped;
-    ASKETCH_TELEMETRY_ONLY(
-        obs::PipelineMetrics::Get().fixups_dropped.Increment();)
     return;
   }
   const count_t old_count = filter_.OldCount(slot);
@@ -250,72 +92,42 @@ void PipelineASketch::ApplyFixup(item_t key, count_t estimate) {
     PublishMin();
   }
   ++stats_.fixups_applied;
-  ASKETCH_TELEMETRY_ONLY(
-      obs::PipelineMetrics::Get().fixups_applied.Increment();)
 }
 
 void PipelineASketch::DrainReverseQueue() {
   ReverseMsg msg;
   while (reverse_.TryPop(&msg)) {
-    switch (msg.kind) {
-      case ReverseKind::kCandidate: {
-        const int32_t slot = filter_.Find(msg.key);
-        if (slot >= 0) {
-          // Already resident (e.g. a duplicate candidate); nothing to do —
-          // the pending fix-up of the first acceptance covers it.
-          ++stats_.rejected_candidates;
-          ASKETCH_TELEMETRY_ONLY(
-              obs::PipelineMetrics::Get().rejected_candidates.Increment();)
-          break;
-        }
-        if (filter_.size() == 0 ||
-            msg.estimate <= filter_.MinNewCount()) {
-          ++stats_.rejected_candidates;  // stale by the time it arrived
-          ASKETCH_TELEMETRY_ONLY(
-              obs::PipelineMetrics::Get().rejected_candidates.Increment();)
-          break;
-        }
-        // Reserve the mark fence BEFORE touching the filter: if the
-        // forward queue is too congested to carry it, reject the
-        // candidate (it is droppable — the worker re-proposes hot keys)
-        // rather than install an entry whose fix-up can never arrive.
-        // Pushing the mark first is safe because this whole function runs
-        // on the filter thread: no occurrence of msg.key can enter the
-        // forward queue between the mark and the Insert below.
-        if (!TryPushMark(msg.key)) {
-          ++stats_.rejected_candidates;
-          ASKETCH_TELEMETRY_ONLY(
-              obs::PipelineMetrics::Get().rejected_candidates.Increment();)
-          break;
-        }
-        const FilterEntry victim = filter_.EvictMin();
-        if (victim.new_count > victim.old_count) {
-          PushVictimWriteback(victim.key,
-                              victim.new_count - victim.old_count);
-        }
-        filter_.Insert(msg.key, msg.estimate, msg.estimate);
-        PublishMin();
-        ++stats_.exchanges;
-        ASKETCH_TELEMETRY_ONLY(
-            obs::PipelineMetrics::Get().exchanges.Increment();)
-        break;
-      }
-      case ReverseKind::kFixup: {
-        ApplyFixup(msg.key, msg.estimate);
-        break;
-      }
+    if (msg.kind == ReverseKind::kFixup) {
+      ApplyFixup(msg.key, msg.estimate);
+      continue;
     }
-  }
-}
-
-void PipelineASketch::SketchStageMain() {
-  try {
-    SketchStageLoop();
-  } catch (...) {
-    // Publish the death AFTER the last queue access so the producer's
-    // acquire-read of worker_dead_ licenses it to take over the consumer
-    // side of the forward queue.
-    worker_dead_.store(true, std::memory_order_release);
+    // kCandidate. Already resident (a duplicate candidate, covered by the
+    // first acceptance's fix-up) or stale by the time it arrived: reject.
+    if (filter_.Find(msg.key) >= 0 || filter_.size() == 0 ||
+        msg.estimate <= filter_.MinNewCount()) {
+      ++stats_.rejected_candidates;
+      continue;
+    }
+    // The liveness rule: accept only if the forward queue has room for
+    // the mark and, when the victim holds exact hits, its write-back.
+    const FilterEntry victim = filter_.PeekMin();
+    const bool writeback = victim.new_count > victim.old_count;
+    if (!forward_.HasRoomFor(writeback ? 2 : 1)) {
+      ++stats_.rejected_candidates;
+      continue;
+    }
+    // Pushing the mark before the Insert is safe because this whole
+    // function runs on the filter stage: no occurrence of msg.key can
+    // enter the forward queue between the two.
+    PushReserved({ForwardKind::kMark, msg.key, 0});
+    filter_.EvictMin();
+    if (writeback) {
+      PushReserved({ForwardKind::kUpdate, victim.key,
+                    victim.new_count - victim.old_count});
+    }
+    filter_.Insert(msg.key, msg.estimate, msg.estimate);
+    PublishMin();
+    ++stats_.exchanges;
   }
 }
 
@@ -326,20 +138,10 @@ void PipelineASketch::SketchStageLoop() {
   // message's w random cell accesses overlap its predecessors'.
   constexpr size_t kDrainBatch = 16;
   ForwardMsg batch[kDrainBatch];
-  struct Pending {
-    ReverseMsg msg;
-    bool has = false;
-    bool must_deliver = false;
-  };
-  Pending pending[kDrainBatch];
   while (true) {
     while (stall_worker_.load(std::memory_order_acquire)) {
       if (stop_.load(std::memory_order_acquire)) return;
       std::this_thread::yield();
-    }
-    if (kill_worker_.load(std::memory_order_acquire)) {
-      // At a message boundary: nothing popped, nothing lost.
-      throw std::runtime_error("PipelineASketch worker killed for testing");
     }
     const size_t got = forward_.TryPopBatch(batch, kDrainBatch);
     if (got == 0) {
@@ -349,51 +151,30 @@ void PipelineASketch::SketchStageLoop() {
       std::this_thread::yield();
       continue;
     }
-    {
-      // Compute everything under the sketch mutex, but push nothing: a
-      // producer stuck in ApplyOverload must never wait on a worker that
-      // is itself waiting for reverse-queue room.
-      std::lock_guard<std::mutex> lock(sketch_mutex_);
-      for (size_t i = 0; i < got; ++i) {
-        if (batch[i].kind == ForwardKind::kUpdate) {
-          sketch_.Prefetch(batch[i].key);
-        }
-      }
-      for (size_t i = 0; i < got; ++i) {
-        const ForwardMsg& msg = batch[i];
-        pending[i].has = false;
-        switch (msg.kind) {
-          case ForwardKind::kUpdate: {
-            const count_t estimate =
-                sketch_.UpdateAndEstimate(msg.key, msg.weight);
-            if (estimate > min_count_.load(std::memory_order_relaxed)) {
-              // Propose an exchange; droppable if the reverse queue is
-              // full (the filter stage will hear about the key again).
-              pending[i] = {{ReverseKind::kCandidate, msg.key, estimate},
-                            true, false};
-            }
-            break;
-          }
-          case ForwardKind::kMark: {
-            pending[i] = {{ReverseKind::kFixup, msg.key,
-                           sketch_.Estimate(msg.key)},
-                          true, true};
-            break;
-          }
-        }
+    for (size_t i = 0; i < got; ++i) {
+      if (batch[i].kind == ForwardKind::kUpdate) {
+        sketch_.Prefetch(batch[i].key);
       }
     }
     for (size_t i = 0; i < got; ++i) {
-      if (pending[i].has) {
-        if (pending[i].must_deliver) {
-          // The fix-up must not be lost: spin until it fits, bailing out
-          // only on shutdown (the producer no longer drains then).
-          while (!reverse_.TryPush(pending[i].msg)) {
-            if (stop_.load(std::memory_order_acquire)) return;
-            std::this_thread::yield();
-          }
-        } else {
-          reverse_.TryPush(pending[i].msg);
+      const ForwardMsg& msg = batch[i];
+      if (msg.kind == ForwardKind::kUpdate) {
+        const count_t estimate =
+            sketch_.UpdateAndEstimate(msg.key, msg.weight);
+        if (estimate > min_count_.load(std::memory_order_relaxed)) {
+          // Propose an exchange; droppable if the reverse queue is full
+          // (the filter stage will hear about the key again).
+          reverse_.TryPush({ReverseKind::kCandidate, msg.key, estimate});
+        }
+      } else {
+        // The fix-up must not be lost: wait until it fits. The filter
+        // stage drains the reverse queue on every Update, wait and
+        // Flush; only shutdown stops it draining.
+        const ReverseMsg fixup{ReverseKind::kFixup, msg.key,
+                               sketch_.Estimate(msg.key)};
+        while (!reverse_.TryPush(fixup)) {
+          if (stop_.load(std::memory_order_acquire)) return;
+          std::this_thread::yield();
         }
       }
       // Incremented after this message's pushes so Flush() can conclude
@@ -408,15 +189,6 @@ void PipelineASketch::Flush() {
   // forward work) and waiting for the worker to catch up, until both
   // queues are empty and every produced message was consumed.
   while (true) {
-    if (worker_dead_.load(std::memory_order_acquire)) {
-      OnWorkerDeath();
-      DrainReverseQueue();
-      // Quiescence after a death is queue emptiness, not the
-      // produced/consumed match: a worker that died mid-message cannot
-      // retroactively complete its accounting.
-      if (forward_.Empty() && reverse_.Empty()) return;
-      continue;
-    }
     DrainReverseQueue();
     if (consumed_.load(std::memory_order_acquire) == produced_ &&
         reverse_.Empty()) {

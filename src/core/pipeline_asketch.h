@@ -32,20 +32,24 @@
 // written back to the sketch by the eviction, so the fix-up is simply
 // dropped.
 //
-// Overload and fault tolerance. Every wait on a full forward queue is
-// bounded by PipelineOverloadOptions::max_push_spins. When the budget is
-// exhausted (a slow or wedged consumer), the producer degrades instead of
-// spinning forever: under OverloadPolicy::kInlineApply it applies the
-// tuple to the shared sketch itself (the sketch is mutex-guarded for
-// exactly this crossover, and the one-sided guarantee is preserved);
-// under OverloadPolicy::kShed it drops the tuple and counts the shed
-// weight, trading accuracy for producer throughput. If the worker thread
-// dies (an exception escapes the sketch stage), the producer detects the
-// flag, absorbs the orphaned forward queue in FIFO order — marks included,
-// so pending fix-ups still resolve — and from then on runs effectively
-// single-threaded via the inline path. All degradation is reported in
-// PipelineStats (forward_full_spins, inline_applied, shed_tuples,
-// degraded, worker_dead); Update() and Flush() always terminate.
+// Liveness. The pipeline has one rule: the filter stage accepts an
+// exchange candidate only when the forward queue has room for every
+// message that exchange pushes — the kMark, plus the victim's write-back
+// when the victim holds exact filter-era hits. Only the filter stage fills
+// forward slots (the sketch stage only frees them), so room it sees
+// cannot vanish before its own pushes; without room the candidate is
+// rejected (candidates are droppable — the sketch stage re-proposes hot
+// keys). Hence:
+//   * every push inside DrainReverseQueue succeeds immediately;
+//   * the filter stage waits only in PushForwardUpdate, and each wait
+//     iteration drains the reverse queue;
+//   * the sketch stage waits only to deliver a kFixup, which the filter
+//     stage's next drain (it drains on every Update, wait and Flush)
+//     makes room for.
+// No wait cycle can form, so the two queues cannot deadlock. Every tuple
+// is either a filter hit or goes through the sketch stage, and the sketch
+// stage is the sketch's only user until Flush() returns
+// (docs/ALGORITHMS.md §3 writes the argument out).
 //
 // Deletions are not supported in the pipeline (Appendix A's protocol is
 // inherently sequential); use the single-threaded ASketch when the stream
@@ -56,8 +60,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/types.h"
@@ -68,25 +72,8 @@
 
 namespace asketch {
 
-/// What the producer does with a tuple once the bounded wait on the full
-/// forward queue is exhausted.
-enum class OverloadPolicy : uint8_t {
-  /// Apply the tuple to the shared sketch inline (mutex-guarded). Keeps
-  /// the one-sided estimate guarantee; costs producer cycles.
-  kInlineApply,
-  /// Drop the tuple and account it in PipelineStats::shed_tuples. The
-  /// guarantee then only covers non-shed weight.
-  kShed,
-};
-
-/// Overload policy knobs for PipelineASketch.
-struct PipelineOverloadOptions {
-  OverloadPolicy policy = OverloadPolicy::kInlineApply;
-  /// Failed TryPush attempts tolerated per message before degrading.
-  uint32_t max_push_spins = 256;
-};
-
-/// Statistics of a pipeline run.
+/// Statistics of a pipeline run. filter_hits + forwarded is the number
+/// of Update() calls.
 struct PipelineStats {
   uint64_t filter_hits = 0;
   uint64_t forwarded = 0;        ///< tuples sent to the sketch stage
@@ -95,38 +82,29 @@ struct PipelineStats {
   uint64_t fixups_applied = 0;
   uint64_t fixups_dropped = 0;
   uint64_t forward_full_spins = 0;  ///< failed pushes onto a full queue
-  uint64_t inline_applied = 0;   ///< tuples applied inline under overload
-  uint64_t shed_tuples = 0;      ///< total weight dropped by kShed
-  bool degraded = false;         ///< a bounded wait was ever exhausted
-  bool worker_dead = false;      ///< sketch stage died; inline fallback
 };
 
 /// ASketch with the filter and sketch stages decoupled onto two cores.
 /// The filter is the Relaxed-Heap design (the paper's default). The
-/// caller's thread is the filter stage; every Update() wait is bounded
-/// (see the overload section of the file comment).
+/// caller's thread is the filter stage.
 class PipelineASketch {
  public:
   /// Builds from the same space-budget config as the sequential ASketch;
-  /// `queue_capacity` sizes each SPSC ring and `overload` bounds the
-  /// producer's waits.
+  /// `queue_capacity` sizes each SPSC ring.
   explicit PipelineASketch(const ASketchConfig& config,
-                           size_t queue_capacity = 4096,
-                           PipelineOverloadOptions overload = {});
+                           size_t queue_capacity = 4096);
 
-  /// Joins the sketch stage (safe even if it already died).
+  /// Stops and joins the sketch stage, even a stalled one.
   ~PipelineASketch();
 
   PipelineASketch(const PipelineASketch&) = delete;
   PipelineASketch& operator=(const PipelineASketch&) = delete;
 
   /// Processes one arrival of `key` with weight `delta` (>= 1 — see the
-  /// file comment on deletions). Terminates even under overload or
-  /// worker death.
+  /// file comment on deletions). Waits while the forward queue is full.
   void Update(item_t key, delta_t delta = 1);
 
-  /// Drains both queues and blocks until the sketch stage is idle (or,
-  /// if the worker died, until the orphaned queues are absorbed).
+  /// Drains both queues and blocks until the sketch stage is idle.
   /// Required before Estimate()/TopK().
   void Flush();
 
@@ -141,22 +119,10 @@ class PipelineASketch {
     return filter_.MemoryUsageBytes() + sketch_.MemoryUsageBytes();
   }
 
-  /// True once the sketch stage has terminated abnormally.
-  bool worker_dead() const {
-    return worker_dead_.load(std::memory_order_acquire);
-  }
-
   /// Test hook: parks (true) / unparks (false) the sketch stage at its
   /// loop top, simulating an arbitrarily slow consumer.
   void StallWorkerForTesting(bool stalled) {
     stall_worker_.store(stalled, std::memory_order_release);
-  }
-
-  /// Test hook: makes the sketch stage throw at its next loop top,
-  /// simulating a worker crash (at a message boundary, so no queued
-  /// weight is lost).
-  void KillWorkerForTesting() {
-    kill_worker_.store(true, std::memory_order_release);
   }
 
  private:
@@ -172,23 +138,15 @@ class PipelineASketch {
     item_t key;
     count_t estimate;
   };
-  enum class PushResult : uint8_t {
-    kQueued,    ///< enqueued onto the forward queue
-    kAbsorbed,  ///< key became filter-resident mid-wait; weight absorbed
-    kOverload,  ///< wait budget exhausted; handled by ApplyOverload
-  };
 
-  /// Sketch-stage entry point: runs the loop, flags worker_dead_ if an
-  /// exception escapes.
-  void SketchStageMain();
+  /// The sketch stage (worker thread).
   void SketchStageLoop();
 
-  /// Applies all pending reverse messages on the filter stage. Never
-  /// re-enters itself (bounded pushes only), so no message can observe a
-  /// half-applied exchange.
+  /// Applies all pending reverse messages on the filter stage. Its
+  /// pushes never wait (see the liveness rule in the file comment).
   void DrainReverseQueue();
 
-  /// Applies a kFixup to the filter (shared with the worker-death path).
+  /// Applies a kFixup to the filter.
   void ApplyFixup(item_t key, count_t estimate);
 
   /// Publishes the filter's minimum to the sketch stage.
@@ -197,55 +155,33 @@ class PipelineASketch {
                      std::memory_order_relaxed);
   }
 
-  /// Bounded-wait push of a kUpdate; see PushResult.
-  PushResult PushForwardUpdate(item_t key, count_t weight);
+  /// Filter-stage push that must succeed: the caller checked HasRoomFor.
+  void PushReserved(const ForwardMsg& msg) {
+    ASKETCH_CHECK(forward_.TryPush(msg));
+    ++produced_;
+  }
 
-  /// Bounded-wait push of a kMark fence; false means the candidate that
-  /// needed it must be rejected (the worker will re-propose the key).
-  bool TryPushMark(item_t key);
-
-  /// Bounded-wait push of an evicted victim's exact hits; falls back to
-  /// ApplyOverload so the weight is never silently lost under
-  /// kInlineApply.
-  void PushVictimWriteback(item_t key, count_t weight);
-
-  /// Overload endgame for one tuple: inline sketch update or shed.
-  void ApplyOverload(item_t key, count_t weight);
-
-  /// Latches stats_.degraded (and the registry gauge) on its first
-  /// false -> true transition. Filter-stage-owned, like stats_.
-  void MarkDegraded();
-
-  /// Producer-side takeover after the worker died: absorbs the orphaned
-  /// forward queue in FIFO order (updates into the sketch, marks into
-  /// immediate fix-ups). Idempotent.
-  void OnWorkerDeath();
+  /// Queues a kUpdate, waiting while the forward queue is full. Returns
+  /// false when the key became filter-resident during the wait and the
+  /// weight was absorbed by the filter instead.
+  bool PushForwardUpdate(item_t key, count_t weight);
 
   RelaxedHeapFilter filter_;
-  CountMin sketch_;  // guarded by sketch_mutex_ once both sides touch it
+  CountMin sketch_;  // sketch-stage-owned until Flush() returns
 
   SpscQueue<ForwardMsg> forward_;
   SpscQueue<ReverseMsg> reverse_;
   std::atomic<count_t> min_count_{0};
   std::atomic<bool> stop_{false};
-  std::atomic<bool> worker_dead_{false};
   std::atomic<bool> stall_worker_{false};
-  std::atomic<bool> kill_worker_{false};
-  // Serializes sketch access between the worker's batch application and
-  // the producer's inline-apply / takeover paths.
-  std::mutex sketch_mutex_;
   // Worker-side progress accounting for Flush(): number of forward
-  // messages consumed and fully processed.
-  std::atomic<uint64_t> consumed_{0};
-  uint64_t produced_ = 0;       // filter-stage-owned
-  bool worker_absorbed_ = false;  // OnWorkerDeath() ran (filter-stage-owned)
-
-  PipelineOverloadOptions overload_;
+  // messages consumed and fully processed. Written by the sketch stage
+  // per message, so it gets its own cache line.
+  alignas(kCacheLineSize) std::atomic<uint64_t> consumed_{0};
+  // Filter-stage-owned, like stats_ (written per tuple): both are kept
+  // off the lines above.
+  alignas(kCacheLineSize) uint64_t produced_ = 0;
   PipelineStats stats_;
-  /// Registry id of this instance's queue-depth callback gauge
-  /// (`asketch_pipeline_queue_depth{pipeline="N"}`); 0 when telemetry is
-  /// compiled out.
-  uint64_t queue_depth_gauge_id_ = 0;
   std::thread worker_;
 };
 

@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <thread>
 
-#include "src/obs/core_metrics.h"
-#include "src/obs/trace.h"
-
 namespace asketch {
 
 namespace {
 
 /// Runs fn(kernel_index, chunk) on one thread per kernel over contiguous
-/// chunks of `stream`. Each worker reports its partition size and wall
-/// time under a `worker="i"` label, so per-kernel imbalance is visible in
-/// the exported metrics.
+/// chunks of `stream`.
 template <typename Fn>
 void ParallelChunks(std::span<const Tuple> stream, uint32_t num_kernels,
                     Fn&& fn) {
@@ -24,25 +19,7 @@ void ParallelChunks(std::span<const Tuple> stream, uint32_t num_kernels,
     const size_t begin = std::min(stream.size(), i * chunk);
     const size_t end = std::min(stream.size(), begin + chunk);
     threads.emplace_back(
-        [&fn, i, part = stream.subspan(begin, end - begin)] {
-          ASKETCH_TRACE_SPAN("spmd_worker");
-          ASKETCH_TELEMETRY_ONLY(
-              const auto start = std::chrono::steady_clock::now();)
-          fn(i, part);
-          ASKETCH_TELEMETRY_ONLY({
-            const std::string label =
-                "worker=\"" + std::to_string(i) + "\"";
-            obs::MetricsRegistry& registry =
-                obs::MetricsRegistry::Global();
-            registry.GetCounter("asketch_spmd_tuples_total", label)
-                .Add(part.size());
-            registry.GetHistogram("asketch_spmd_process_ns", label)
-                .Record(static_cast<uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count()));
-          })
-        });
+        [&fn, i, part = stream.subspan(begin, end - begin)] { fn(i, part); });
   }
   for (std::thread& t : threads) t.join();
 }

@@ -52,6 +52,16 @@ class SpscQueue {
     return true;
   }
 
+  /// Producer: true when the next `n` TryPush calls will succeed. Only
+  /// the producer fills slots (the consumer only frees them), so room
+  /// seen here cannot disappear before the producer's own pushes use it.
+  bool HasRoomFor(size_t n) {
+    const size_t head = head_.load(std::memory_order_relaxed);
+    if (FreeSlots(head) >= n) return true;
+    cached_tail_ = tail_.load(std::memory_order_acquire);
+    return FreeSlots(head) >= n;
+  }
+
   /// Consumer: dequeues into `value` if non-empty. Returns false when
   /// empty.
   bool TryPop(T* value) {
@@ -91,15 +101,6 @@ class SpscQueue {
            tail_.load(std::memory_order_acquire);
   }
 
-  /// Number of queued elements at this instant. Racy by nature (the two
-  /// indices are read independently); meant for monitoring gauges, not
-  /// for flow-control decisions.
-  size_t SizeApprox() const {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    return (head - tail) & mask_;
-  }
-
   /// Usable slots, NOT the constructor's requested capacity: the ring is
   /// sized to the next power of two above `capacity + 1` and one slot is
   /// sacrificed to distinguish full from empty, so this returns
@@ -107,6 +108,12 @@ class SpscQueue {
   size_t capacity() const { return mask_; }
 
  private:
+  /// Free slots as seen through the producer's cached tail (a lower
+  /// bound: the consumer may have freed more since).
+  size_t FreeSlots(size_t head) const {
+    return mask_ - ((head - cached_tail_) & mask_);
+  }
+
   const size_t mask_;
   std::vector<T> slots_;
 

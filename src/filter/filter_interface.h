@@ -50,8 +50,13 @@ inline bool operator==(const FilterEntry& a, const FilterEntry& b) {
 /// Compile-time contract for filter implementations.
 template <typename F>
 concept FilterType = requires(F f, const F cf, item_t key, delta_t delta,
-                              count_t count, int32_t slot) {
+                              count_t count, int32_t slot,
+                              const item_t* keys, size_t n, int32_t* slots) {
   { cf.Find(key) } -> std::same_as<int32_t>;          // slot or -1
+  { cf.FindBatch(keys, n, slots) };                   // n Finds at once
+  // Whether a hit on `slot` (AddToNewCount) moves other entries, i.e.
+  // invalidates slots found before it.
+  { F::HitInvalidatesSlots(slot) } -> std::same_as<bool>;
   { cf.NewCount(slot) } -> std::same_as<count_t>;
   { cf.OldCount(slot) } -> std::same_as<count_t>;
   { f.AddToNewCount(slot, delta) };                   // invalidates slots

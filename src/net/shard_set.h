@@ -15,8 +15,7 @@
 // UpdateBatch, or as sketch blocks while the head is unchanged). Decode
 // threads never touch shard state, so the single-writer seqlock
 // invariant holds by construction. When a queue stays full past the
-// bounded wait, the pipeline overload policy applies (reusing
-// OverloadPolicy from pipeline_asketch.h): kInlineApply
+// bounded wait, the OverloadPolicy below applies: kInlineApply
 // applies the delta on the caller thread under the shard mutex
 // (one-sided guarantee intact, caller pays the cycles), kShed drops it
 // and accounts the weight. Both paths are reported through NetMetrics
@@ -73,10 +72,21 @@
 #include "src/common/snapshot.h"
 #include "src/common/types.h"
 #include "src/core/asketch.h"
-#include "src/core/pipeline_asketch.h"
 #include "src/net/protocol.h"
 
 namespace asketch {
+
+/// What Ingest does with a delta once the bounded wait on a full shard
+/// queue is exhausted.
+enum class OverloadPolicy : uint8_t {
+  /// Apply the delta on the caller thread under the shard mutex. Keeps
+  /// the one-sided estimate guarantee; costs caller cycles.
+  kInlineApply,
+  /// Drop the delta and account its weight as shed. The guarantee then
+  /// only covers non-shed weight.
+  kShed,
+};
+
 namespace net {
 
 /// The serving synopsis type — the same composition asketch_cli

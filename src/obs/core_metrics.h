@@ -61,47 +61,6 @@ struct IngestMetrics {
   }
 };
 
-/// PipelineASketch — live aggregates across all pipeline instances,
-/// mirroring PipelineStats (which stays the per-instance view). Queue
-/// depth is per-instance: each pipeline registers its own callback gauge
-/// `asketch_pipeline_queue_depth{pipeline="N"}`; `queue_depth_idle`
-/// (labelled `pipeline="none"`, always 0) keeps the family present on
-/// scrapes even while no pipeline instance is alive.
-struct PipelineMetrics {
-  Counter& filter_hits;
-  Counter& forwarded;
-  Counter& exchanges;
-  Counter& rejected_candidates;
-  Counter& fixups_applied;
-  Counter& fixups_dropped;
-  Counter& forward_full_spins;
-  Counter& inline_applied;
-  Counter& shed_weight;
-  Gauge& degraded;         ///< number of currently-degraded pipelines
-  Gauge& worker_dead;      ///< number of pipelines with a dead sketch stage
-  Gauge& queue_depth_idle; ///< constant-0 placeholder series (see above)
-
-  static PipelineMetrics& Get() {
-    static PipelineMetrics* metrics = [] {
-      MetricsRegistry& r = MetricsRegistry::Global();
-      return new PipelineMetrics{
-          r.GetCounter("asketch_pipeline_filter_hits_total"),
-          r.GetCounter("asketch_pipeline_forwarded_total"),
-          r.GetCounter("asketch_pipeline_exchanges_total"),
-          r.GetCounter("asketch_pipeline_rejected_candidates_total"),
-          r.GetCounter("asketch_pipeline_fixups_applied_total"),
-          r.GetCounter("asketch_pipeline_fixups_dropped_total"),
-          r.GetCounter("asketch_pipeline_forward_full_spins_total"),
-          r.GetCounter("asketch_pipeline_inline_applied_total"),
-          r.GetCounter("asketch_pipeline_shed_weight_total"),
-          r.GetGauge("asketch_pipeline_degraded"),
-          r.GetGauge("asketch_pipeline_worker_dead"),
-          r.GetGauge("asketch_pipeline_queue_depth", "pipeline=\"none\"")};
-    }();
-    return *metrics;
-  }
-};
-
 /// SalsaCountMin — counter-merge events (salsa_count_min.h). Merges are
 /// rare (bounded by 3/4 of the buckets per sketch lifetime), so the
 /// merge path adds straight to the registry counters instead of banking

@@ -119,19 +119,27 @@ void SendAll(int fd, const std::string& data) {
 }  // namespace
 
 void MetricsHttpServer::HandleConnection(int client_fd) {
-  // One read is enough for the GET request lines we serve; anything
-  // larger is not a client we support.
+  // Read until the blank line that ends the request head, at most 2 KiB
+  // (anything larger is not a client we support) and with a 1 s poll per
+  // read. Closing with head bytes still unread would make the kernel
+  // reset the connection and cut off the response.
   char buffer[2048];
-  pollfd pfd{};
-  pfd.fd = client_fd;
-  pfd.events = POLLIN;
-  if (::poll(&pfd, 1, 1000) <= 0) return;
-  const ssize_t n = ::recv(client_fd, buffer, sizeof(buffer) - 1, 0);
-  if (n <= 0) return;
+  size_t n = 0;
+  while (n < sizeof(buffer) - 1 &&
+         std::string_view(buffer, n).find("\r\n\r\n") ==
+             std::string_view::npos) {
+    pollfd pfd{};
+    pfd.fd = client_fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, 1000) <= 0) return;
+    const ssize_t got =
+        ::recv(client_fd, buffer + n, sizeof(buffer) - 1 - n, 0);
+    if (got <= 0) return;
+    n += static_cast<size_t>(got);
+  }
   requests_.fetch_add(1, std::memory_order_relaxed);
 
-  const std::string path =
-      ParseRequestPath(buffer, static_cast<size_t>(n));
+  const std::string path = ParseRequestPath(buffer, n);
   const auto it = routes_.find(path);
   std::string body, status, content_type;
   if (it == routes_.end()) {

@@ -105,24 +105,14 @@ class CountMin {
   /// prepared-batch path only prefetches above this size.
   static constexpr size_t kPrefetchMinBytes = size_t{2} << 20;
 
-  /// Prefetch that also records the bucket `key` hashes to in every row
-  /// into buckets[0..width()). The Carter–Wegman hash is the expensive
-  /// half of an update (a 128-bit multiply plus a division per row), so
-  /// batched callers hash once here and replay via UpdateAt /
-  /// UpdateAndEstimateAt (with stride 1) instead of paying it twice. The
-  /// indices depend only on the hash seeds and stay valid for the
-  /// sketch's lifetime.
-  void PrepareUpdate(item_t key, uint32_t* buckets) const {
-    for (uint32_t row = 0; row < config_.width; ++row) {
-      buckets[row] = hashes_.Bucket(row, key);
-      __builtin_prefetch(&Cell(row, buckets[row]), 1, 3);
-    }
-  }
-
-  /// PrepareUpdate for `count` keys at once, row-major:
-  /// buckets[row*count + k] receives the bucket of keys[k] in `row`
-  /// (pass `count` as the stride to UpdateAt / UpdateAndEstimateAt and
-  /// &buckets[k] as the base). Hashing is vectorized across the keys
+  /// Records the bucket each of `count` keys hashes to in every row,
+  /// row-major: buckets[row*count + k] receives the bucket of keys[k] in
+  /// `row`. The Carter–Wegman hash is the expensive half of an update (a
+  /// 128-bit multiply plus a division per row), so batched callers hash
+  /// once here and replay via UpdateAt / UpdateAndEstimateAt (pass
+  /// `count` as the stride and &buckets[k] as the base). The indices
+  /// depend only on the hash seeds and stay valid for the sketch's
+  /// lifetime. Hashing is vectorized across the keys
   /// (HashFamily::BucketsForKeys), which is where the batched ingestion
   /// path gets most of its speedup — the Carter–Wegman evaluation
   /// dominates an update and the vector kernel amortizes it over eight
@@ -141,7 +131,7 @@ class CountMin {
   }
 
   /// Update(key, delta) where `buckets` points at the key's column of a
-  /// PrepareUpdate/PrepareUpdateBatch result: row r's bucket is
+  /// PrepareUpdateBatch result: row r's bucket is
   /// buckets[r*stride]. Bit-identical effect, no second hash pass.
   void UpdateAt(const uint32_t* buckets, delta_t delta, size_t stride = 1);
 

@@ -2,8 +2,8 @@
 //
 // Concrete sketches (CountMin, CountSketch, Fcm, ...) expose a non-virtual
 // hot-path API and are composed through templates, so updates and queries
-// inline fully. The concept below is the contract ASketch's sketch
-// parameter is constrained on.
+// inline fully. FrequencyEstimatorType is what every estimator offers;
+// SketchBackendType adds what ASketch's sketch parameter needs.
 
 #ifndef ASKETCH_SKETCH_FREQUENCY_ESTIMATOR_H_
 #define ASKETCH_SKETCH_FREQUENCY_ESTIMATOR_H_
@@ -26,6 +26,15 @@ concept FrequencyEstimatorType =
       { ct.Estimate(key) } -> std::convertible_to<count_t>;
       { ct.MemoryUsageBytes() } -> std::convertible_to<size_t>;
       { t.Reset() };
+    };
+
+/// ASketch's sketch parameter: a FrequencyEstimatorType with the fused
+/// insert-then-query of Algorithm 1's lines 7-9, which hashes the key
+/// once. CountMin, CountSketch, Fcm and SalsaCountMin all provide it.
+template <typename T>
+concept SketchBackendType =
+    FrequencyEstimatorType<T> && requires(T t, item_t key, delta_t delta) {
+      { t.UpdateAndEstimate(key, delta) } -> std::same_as<count_t>;
     };
 
 }  // namespace asketch

@@ -126,19 +126,12 @@ class SalsaCountMin {
   /// is cache-resident and prefetching is pure overhead.
   static constexpr size_t kPrefetchMinBytes = size_t{2} << 20;
 
-  /// Records the bucket `key` hashes to in every row into
-  /// buckets[0..width()) and prefetches the counters (the prepared-batch
-  /// protocol shared with CountMin; buckets depend only on the hash
-  /// seeds and stay valid for the sketch's lifetime).
-  void PrepareUpdate(item_t key, uint32_t* buckets) const {
-    for (uint32_t row = 0; row < config_.width; ++row) {
-      buckets[row] = hashes_.Bucket(row, key);
-      __builtin_prefetch(bytes() + CellIndex(row, buckets[row]), 1, 3);
-    }
-  }
-
-  /// PrepareUpdate for `count` keys at once, row-major (stride `count`),
-  /// hashed with the vectorized multi-key kernel.
+  /// Records the bucket each of `count` keys hashes to in every row,
+  /// row-major (stride `count`), hashed with the vectorized multi-key
+  /// kernel, and prefetches the counters of sketches above
+  /// kPrefetchMinBytes (the prepared-batch protocol
+  /// shared with CountMin; buckets depend only on the hash seeds and stay
+  /// valid for the sketch's lifetime).
   void PrepareUpdateBatch(const item_t* keys, size_t count,
                           uint32_t* buckets) const {
     hashes_.BucketsForKeys(keys, count, buckets, count);

@@ -32,6 +32,10 @@ class TransparentSketch {
     const auto it = counts_.find(key);
     return it == counts_.end() ? 0 : it->second;
   }
+  count_t UpdateAndEstimate(item_t key, delta_t delta) {
+    Update(key, delta);
+    return Estimate(key);
+  }
   size_t MemoryUsageBytes() const { return counts_.size() * 8; }
   void Reset() {
     counts_.clear();
@@ -46,7 +50,7 @@ class TransparentSketch {
   std::vector<std::pair<item_t, delta_t>> log_;
 };
 
-static_assert(FrequencyEstimatorType<TransparentSketch>);
+static_assert(SketchBackendType<TransparentSketch>);
 
 // Every concrete estimator, and ASketch itself, satisfies the concept.
 static_assert(FrequencyEstimatorType<CountMin>);

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/spmd_group.h"
 #include "src/net/net_metrics.h"
 #include "src/obs/core_metrics.h"
 #include "src/obs/metrics.h"
@@ -69,18 +68,9 @@ std::map<std::string, std::string> DocumentedMetrics(
 /// families exist, then snapshots the global registry as name -> type.
 std::map<std::string, std::string> LiveMetrics() {
   obs::IngestMetrics::Get();
-  obs::PipelineMetrics::Get();
   obs::SalsaMetrics::Get();
   obs::SnapshotMetrics::Get();
   net::NetMetrics::Get();
-  // The SPMD families register inside Process() worker threads.
-  ASketchConfig config;
-  config.total_bytes = 16 * 1024;
-  config.width = 4;
-  config.filter_items = 16;
-  SpmdAsketchGroup group(1, config);
-  const std::vector<Tuple> stream{{1, 1}, {2, 1}};
-  group.Process(stream);
 
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().Collect();

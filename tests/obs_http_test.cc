@@ -4,7 +4,10 @@
 
 #include "src/obs/http_exporter.h"
 
+#include <chrono>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,9 +25,10 @@ namespace {
 
 #ifdef ASKETCH_HTTP_TEST_SUPPORTED
 
-/// Minimal HTTP client: sends `request` to 127.0.0.1:port and returns the
-/// full response (headers + body), or "" on any socket error.
-std::string Fetch(uint16_t port, const std::string& request) {
+/// Minimal HTTP client: sends the request to 127.0.0.1:port in
+/// `segments`, 50 ms apart, and returns the response (headers + body) as
+/// read until EOF or a socket error, or "" if connecting or sending fails.
+std::string Fetch(uint16_t port, const std::vector<std::string>& segments) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -36,8 +40,13 @@ std::string Fetch(uint16_t port, const std::string& request) {
     return "";
   }
   std::string response;
-  if (::send(fd, request.data(), request.size(), 0) ==
-      static_cast<ssize_t>(request.size())) {
+  bool sent = true;
+  for (size_t i = 0; i < segments.size() && sent; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    sent = ::send(fd, segments[i].data(), segments[i].size(), 0) ==
+           static_cast<ssize_t>(segments[i].size());
+  }
+  if (sent) {
     char buffer[4096];
     ssize_t got;
     while ((got = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
@@ -49,8 +58,10 @@ std::string Fetch(uint16_t port, const std::string& request) {
 }
 
 std::string Get(uint16_t port, const std::string& path) {
-  return Fetch(port, "GET " + path + " HTTP/1.0\r\n\r\n");
+  return Fetch(port, {"GET " + path + " HTTP/1.0\r\n\r\n"});
 }
+
+constexpr size_t kBigBodyBytes = 3 << 19;  // 1.5 MiB
 
 class HttpExporterTest : public testing::Test {
  protected:
@@ -60,6 +71,8 @@ class HttpExporterTest : public testing::Test {
     server_.AddHandler("/metrics.json", "application/json",
                        [this] { return std::string("{\"hits\":") +
                                     std::to_string(++handler_calls_) + "}"; });
+    server_.AddHandler("/big", "text/plain",
+                       [] { return std::string(kBigBodyBytes, 'x'); });
     if (!server_.Start(0)) {
       GTEST_SKIP() << "cannot bind a loopback socket in this environment";
     }
@@ -99,8 +112,20 @@ TEST_F(HttpExporterTest, QueryStringIsStrippedFromPath) {
 
 TEST_F(HttpExporterTest, NonGetMethodRejected) {
   const std::string response =
-      Fetch(server_.port(), "POST /metrics HTTP/1.0\r\n\r\n");
+      Fetch(server_.port(), {"POST /metrics HTTP/1.0\r\n\r\n"});
   EXPECT_EQ(response.find("200 OK"), std::string::npos) << response;
+}
+
+TEST_F(HttpExporterTest, RequestHeadSplitAcrossSegmentsGetsWholeBody) {
+  // The blank line that ends the head arrives 50 ms after the request
+  // line. Left unread at close, it would make the kernel reset the
+  // connection and drop the response's tail.
+  const std::string response =
+      Fetch(server_.port(), {"GET /big HTTP/1.0\r\n", "\r\n"});
+  ASSERT_NE(response.find("200 OK"), std::string::npos);
+  const size_t body = response.find("\r\n\r\n");
+  ASSERT_NE(body, std::string::npos);
+  EXPECT_EQ(response.size() - body - 4, kBigBodyBytes);
 }
 
 TEST_F(HttpExporterTest, EphemeralPortIsResolved) {

@@ -51,6 +51,28 @@ TEST(SpscQueueTest, FillsUpAndRejects) {
   EXPECT_TRUE(queue.TryPush(999));  // space freed
 }
 
+TEST(SpscQueueTest, HasRoomForCountsFreeSlots) {
+  SpscQueue<int> queue(3);  // a 3-slot ring
+  ASSERT_EQ(queue.capacity(), 3u);
+  int value;
+  // Each round advances both indices by 3 on the 4-slot ring, so the
+  // rounds start at every offset and cross the wrap point: at every fill
+  // level, HasRoomFor(n) is true exactly when n pushes fit.
+  for (int round = 0; round < 8; ++round) {
+    for (size_t used = 0; used <= 3; ++used) {
+      for (size_t n = 0; n <= 4; ++n) {
+        EXPECT_EQ(queue.HasRoomFor(n), n <= 3 - used)
+            << "round " << round << " used " << used << " n " << n;
+      }
+      if (used < 3) {
+        ASSERT_TRUE(queue.TryPush(static_cast<int>(used)));
+      }
+    }
+    EXPECT_FALSE(queue.TryPush(-1));
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.TryPop(&value));
+  }
+}
+
 TEST(SpscQueueTest, WrapAroundManyTimes) {
   SpscQueue<uint32_t> queue(8);
   uint32_t next_push = 0, next_pop = 0;
