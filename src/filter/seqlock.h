@@ -3,7 +3,7 @@
 //
 // The ASketch filter is tiny (tens of entries) and mutated by exactly
 // one thread at a time (the shard worker, serialized by the shard mutex
-// with the inline-apply and restore paths). Readers — point queries and
+// with own-write applies and restore). Readers — point queries and
 // top-k reports — only need a *consistent* snapshot, not mutual
 // exclusion, so instead of taking the shard mutex they run an optimistic
 // scan bracketed by two reads of a version counter:

@@ -95,8 +95,8 @@ class Client {
   uint32_t server_shards() const { return server_shards_; }
 
   /// Pipelined batched ingest (see header comment). The returned error,
-  /// if any, is a transport failure — application-level shedding is
-  /// reported through acks (last_ack().shed_weight).
+  /// if any, is a transport failure; the server drops no acked tuple,
+  /// it slows the sender down instead (a full shard queue waits).
   std::optional<std::string> Update(std::span<const Tuple> tuples);
 
   /// Barrier: requests and awaits an ack covering everything sent so

@@ -24,9 +24,7 @@ struct NetMetrics {
   obs::Counter& update_batches;      ///< UPDATE frames applied
   obs::Counter& update_tuples;       ///< tuples carried by UPDATE frames
   obs::Counter& queries;             ///< QUERY + QUERY_BATCH keys answered
-  obs::Counter& shed_weight;         ///< weight dropped under overload
-  obs::Counter& inline_applied;      ///< tuples applied on the caller thread
-  obs::Counter& enqueue_waits;       ///< bounded waits on a full shard queue
+  obs::Counter& enqueue_waits;       ///< waits for room in a full queue
   obs::Counter& lockless_reads;      ///< queries answered without shard.mu
   obs::Counter& seqlock_retries;     ///< filter snapshot reads re-run after
                                      ///< colliding with a writer section
@@ -50,7 +48,6 @@ struct NetMetrics {
   obs::Counter& own_write_applied;   ///< queued tuples a reading connection
                                      ///< applied itself (read-your-writes)
   obs::Gauge& connections;           ///< currently open connections
-  obs::Gauge& degraded;              ///< 1 while any shard queue overflowed
   obs::Histogram& request_ns;        ///< wall time of one non-UPDATE request
   obs::Histogram& delta_merge_ns;    ///< wall time of one ApplyDelta
   obs::Histogram& queue_residency_ns;  ///< one delta's time in its shard
@@ -67,8 +64,6 @@ struct NetMetrics {
           r.GetCounter("asketch_net_update_batches_total"),
           r.GetCounter("asketch_net_update_tuples_total"),
           r.GetCounter("asketch_net_queries_total"),
-          r.GetCounter("asketch_net_shed_weight_total"),
-          r.GetCounter("asketch_net_inline_applied_total"),
           r.GetCounter("asketch_net_enqueue_waits_total"),
           r.GetCounter("asketch_net_lockless_reads_total"),
           r.GetCounter("asketch_net_seqlock_retries_total"),
@@ -83,7 +78,6 @@ struct NetMetrics {
           r.GetCounter("asketch_net_replayed_tuples_total"),
           r.GetCounter("asketch_net_own_write_applied_total"),
           r.GetGauge("asketch_net_connections"),
-          r.GetGauge("asketch_net_degraded"),
           r.GetHistogram("asketch_net_request_ns"),
           r.GetHistogram("asketch_net_delta_merge_ns"),
           r.GetHistogram("asketch_net_queue_residency_ns"),

@@ -168,7 +168,7 @@ struct HelloResponse {
 /// UPDATE frames.
 struct UpdateAck {
   uint64_t received_tuples = 0;  ///< tuples accepted from this connection
-  uint64_t shed_weight = 0;      ///< weight shed under overload
+  uint64_t shed_weight = 0;      ///< reserved, always 0 (PROTOCOL.md)
 };
 
 struct TopKEntry {
@@ -181,8 +181,8 @@ struct TopKEntry {
 struct WireStats {
   uint32_t num_shards = 0;
   uint64_t ingested = 0;              ///< tuples applied to the shards
-  uint64_t shed_weight = 0;           ///< weight dropped under overload
-  uint64_t inline_applied = 0;        ///< tuples applied inline (overload)
+  uint64_t shed_weight = 0;           ///< reserved, always 0
+  uint64_t inline_applied = 0;        ///< reserved, always 0
   uint64_t filtered_weight = 0;       ///< N1 summed over shards
   uint64_t sketch_weight = 0;         ///< N2 summed over shards
   uint64_t exchanges = 0;

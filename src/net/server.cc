@@ -40,8 +40,6 @@ struct Server::Connection {
   bool hello_done = false;
   /// Tuples received, replays included; the ack reports it.
   uint64_t received = 0;
-  /// Weight shed from this connection's frames; the ack reports it.
-  uint64_t shed = 0;
   /// The reusable UPDATE decode buffer: batches are parsed into it in
   /// place, so steady-state ingest allocates only at a new high-water
   /// batch size.
@@ -320,10 +318,11 @@ bool Server::HandleFrame(int fd, const Frame& frame,
       // Without a caller-held delta state, Ingest flushes every delta
       // it builds: once the frame is handled every tuple sits in a
       // shard queue, so an ack means "queued" and nothing waits on a
-      // later frame to become visible. The queued deltas are booked
+      // later frame to become visible. A full queue makes Ingest wait
+      // for room, which stops this connection's reads: backpressure
+      // reaches the sender through TCP. The queued deltas are booked
       // against the connection for its next read.
-      connection.shed += shards_.Ingest(update_scratch, nullptr,
-                                        &connection.own_writes);
+      shards_.Ingest(update_scratch, nullptr, &connection.own_writes);
       metrics.update_batches.Add(1);
       if (frame.is_replay()) {
         metrics.replayed_tuples.Add(update_scratch.size());
@@ -332,8 +331,7 @@ bool Server::HandleFrame(int fd, const Frame& frame,
       }
       if (frame.want_ack()) {
         return SendAll(options_.io, fd,
-                       EncodeUpdateAck(
-                           UpdateAck{connection.received, connection.shed}));
+                       EncodeUpdateAck(UpdateAck{connection.received, 0}));
       }
       return true;
     }

@@ -199,8 +199,8 @@ ShardSet::ShardSet(const ShardSetOptions& options)
           return static_cast<double>(shard->queue.size());
         }));
   }
-  // The placeholder series keeps the family present before/after any
-  // ShardSet instance is alive (same trick as the pipeline gauge).
+  // Registers the shard="none" placeholder series, which keeps the
+  // queue-depth family present while no ShardSet is alive.
   NetMetrics::Get();
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(*s); });
@@ -216,7 +216,6 @@ ShardSet::~ShardSet() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->queue_mu);
     shard->cv_pop.notify_all();
-    shard->cv_push.notify_all();
   }
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
@@ -254,11 +253,23 @@ uint64_t ShardSet::ApplyQueueHeadLocked(Shard& shard) {
     shard.busy = true;
     shard.cv_push.notify_one();
   }
-  NetMetrics::Get().queue_residency_ns.Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - item->queued_at)
-          .count()));
-  const uint64_t applied = ApplyLocked(shard, item->delta);
+  NetMetrics& metrics = NetMetrics::Get();
+  const auto nanos = [](std::chrono::steady_clock::duration d) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  };
+  const auto start = std::chrono::steady_clock::now();
+  metrics.queue_residency_ns.Record(nanos(start - item->queued_at));
+  std::visit([&](auto& sketch) { sketch.ApplyDelta(item->delta); },
+             shard.sketch);
+  metrics.delta_merge_ns.Record(
+      nanos(std::chrono::steady_clock::now() - start));
+  metrics.delta_merges.Add(1);
+  // Release: a reader that observes this boundary via AppliedTuples()
+  // is guaranteed to also observe the work it accounts for (the
+  // concurrency tests' oracle bracketing).
+  const uint64_t applied = item->delta.tuple_count();
+  shard.applied_tuples.fetch_add(applied, std::memory_order_release);
   // Release: a session that reads its count as zero also sees the
   // applied delta.
   if (item->pending != nullptr) {
@@ -272,67 +283,25 @@ uint64_t ShardSet::ApplyQueueHeadLocked(Shard& shard) {
   return applied;
 }
 
-uint64_t ShardSet::ApplyLocked(Shard& shard, ShardDelta& delta) {
-  NetMetrics& metrics = NetMetrics::Get();
-  const auto start = std::chrono::steady_clock::now();
-  std::visit([&](auto& sketch) { sketch.ApplyDelta(delta); }, shard.sketch);
-  metrics.delta_merge_ns.Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count()));
-  metrics.delta_merges.Add(1);
-  // Release: a reader that observes this boundary via AppliedTuples()
-  // is guaranteed to also observe the work it accounts for (the
-  // concurrency tests' oracle bracketing).
-  const uint64_t applied = delta.tuple_count();
-  shard.applied_tuples.fetch_add(applied, std::memory_order_release);
-  return applied;
-}
-
-uint64_t ShardSet::Submit(Shard& shard, ShardDelta delta,
-                          std::atomic<uint64_t>* pending) {
-  NetMetrics& metrics = NetMetrics::Get();
-  bool enqueued = false;
-  {
-    std::unique_lock<std::mutex> lock(shard.queue_mu);
-    if (shard.queue.size() >= options_.max_queue_batches) {
-      metrics.enqueue_waits.Add(1);
-      shard.cv_push.wait_for(
-          lock, std::chrono::milliseconds(options_.max_enqueue_wait_ms),
-          [&] {
-            return shard.queue.size() < options_.max_queue_batches ||
-                   stop_.load(std::memory_order_acquire);
-          });
-    }
-    if (shard.queue.size() < options_.max_queue_batches &&
-        !stop_.load(std::memory_order_acquire)) {
-      // Counted in before any popper can see the delta, so the count
-      // never goes below zero.
-      if (pending != nullptr) {
-        pending->fetch_add(delta.tuple_count(), std::memory_order_relaxed);
-      }
-      shard.queue.push_back(QueuedDelta{std::move(delta), pending,
-                                        std::chrono::steady_clock::now()});
-      shard.cv_pop.notify_one();
-      enqueued = true;
-    }
+void ShardSet::Submit(Shard& shard, ShardDelta delta,
+                      std::atomic<uint64_t>* pending) {
+  std::unique_lock<std::mutex> lock(shard.queue_mu);
+  if (shard.queue.size() >= options_.max_queue_batches) {
+    NetMetrics::Get().enqueue_waits.Add(1);
+    // No deadline: only the owner and own-write readers pop, and
+    // neither waits on a submitter (DESIGN.md §4c).
+    shard.cv_push.wait(lock, [&] {
+      return shard.queue.size() < options_.max_queue_batches;
+    });
   }
-  if (enqueued) return 0;
-  // Bounded wait exhausted: degrade. Sticky gauge — an operator seeing
-  // asketch_net_degraded == 1 knows at least one queue overflowed
-  // since startup (the *_total counters say how much).
-  metrics.degraded.Set(1);
-  if (options_.overload == OverloadPolicy::kInlineApply) {
-    std::lock_guard<std::mutex> guard(shard.mu);
-    const uint64_t applied = ApplyLocked(shard, delta);
-    inline_applied_.fetch_add(applied, std::memory_order_relaxed);
-    metrics.inline_applied.Add(applied);
-    return 0;
+  // Counted in before any popper can see the delta, so the count never
+  // goes below zero.
+  if (pending != nullptr) {
+    pending->fetch_add(delta.tuple_count(), std::memory_order_relaxed);
   }
-  const uint64_t weight = delta.weight();
-  shed_weight_.fetch_add(weight, std::memory_order_relaxed);
-  metrics.shed_weight.Add(weight);
-  return weight;
+  shard.queue.push_back(QueuedDelta{std::move(delta), pending,
+                                    std::chrono::steady_clock::now()});
+  shard.cv_pop.notify_one();
 }
 
 std::shared_ptr<const SplitIndex> ShardSet::CurrentSplitIndex() {
@@ -369,20 +338,18 @@ std::shared_ptr<const SplitIndex> ShardSet::CurrentSplitIndex() {
   return index;
 }
 
-uint64_t ShardSet::Ingest(std::span<const Tuple> tuples,
-                          DeltaIngestState* delta_state,
-                          OwnWrites* own_writes) {
+void ShardSet::Ingest(std::span<const Tuple> tuples,
+                      DeltaIngestState* delta_state,
+                      OwnWrites* own_writes) {
   if (delta_state == nullptr) {
-    uint64_t shed = 0;
     SplitFrame(tuples, router_, *CurrentSplitIndex(),
                [&](uint32_t s, ShardDelta delta) {
-                 shed += Submit(*shards_[s], std::move(delta),
-                                own_writes == nullptr
-                                    ? nullptr
-                                    : &own_writes->pending_[s]);
+                 Submit(*shards_[s], std::move(delta),
+                        own_writes == nullptr ? nullptr
+                                              : &own_writes->pending_[s]);
                });
     NetMetrics::Get().delta_flushed_tuples.Add(tuples.size());
-    return shed;
+    return;
   }
   ASKETCH_CHECK(own_writes == nullptr);
   DeltaIngestState& state = *delta_state;
@@ -401,15 +368,13 @@ uint64_t ShardSet::Ingest(std::span<const Tuple> tuples,
     }
     slot->Add(t.key, t.value);
   }
-  uint64_t shed = 0;
   for (uint32_t i = 0; i < n; ++i) {
     const auto& slot = state.per_shard_[i];
     if (slot.has_value() &&
         slot->tuple_count() >= ShardSetOptions::delta_flush_tuples) {
-      shed += FlushShardDelta(i, state);
+      FlushShardDelta(i, state);
     }
   }
-  return shed;
 }
 
 DeltaIngestState ShardSet::MakeDeltaState() const {
@@ -418,28 +383,23 @@ DeltaIngestState ShardSet::MakeDeltaState() const {
   return state;
 }
 
-uint64_t ShardSet::FlushShardDelta(uint32_t index,
-                                   DeltaIngestState& state) {
+void ShardSet::FlushShardDelta(uint32_t index, DeltaIngestState& state) {
   std::optional<ShardDelta>& slot = state.per_shard_[index];
-  if (!slot.has_value()) return 0;
+  if (!slot.has_value()) return;
   if (slot->Empty()) {
     slot.reset();
-    return 0;
+    return;
   }
   NetMetrics::Get().delta_flushed_tuples.Add(slot->tuple_count());
   ShardDelta delta = std::move(*slot);
   slot.reset();
-  return Submit(*shards_[index], std::move(delta), nullptr);
+  Submit(*shards_[index], std::move(delta), nullptr);
 }
 
-uint64_t ShardSet::FlushDeltas(DeltaIngestState& state) {
-  if (state.per_shard_.empty()) return 0;
+void ShardSet::FlushDeltas(DeltaIngestState& state) {
+  if (state.per_shard_.empty()) return;
   ASKETCH_CHECK(state.per_shard_.size() == num_shards());
-  uint64_t shed = 0;
-  for (uint32_t i = 0; i < num_shards(); ++i) {
-    shed += FlushShardDelta(i, state);
-  }
-  return shed;
+  for (uint32_t i = 0; i < num_shards(); ++i) FlushShardDelta(i, state);
 }
 
 void ShardSet::Drain() {
@@ -566,8 +526,6 @@ uint64_t ShardSet::AppliedTuples(uint32_t shard) const {
 WireStats ShardSet::GetStats() const {
   WireStats stats;
   stats.num_shards = num_shards();
-  stats.shed_weight = shed_weight_.load(std::memory_order_relaxed);
-  stats.inline_applied = inline_applied_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> guard(shard->mu);
     std::visit(
@@ -592,8 +550,9 @@ std::vector<uint8_t> ShardSet::SerializeLocked() const {
   BinaryWriter writer;
   writer.PutU32(kShardSetMagic);
   writer.PutU32(num_shards());
-  writer.PutU64(shed_weight_.load(std::memory_order_relaxed));
-  writer.PutU64(inline_applied_.load(std::memory_order_relaxed));
+  // Two reserved header words, written as 0 and ignored on load.
+  writer.PutU64(0);
+  writer.PutU64(0);
   for (const auto& shard : shards_) {
     writer.PutU64(shard->applied_tuples.load(std::memory_order_relaxed));
     const bool ok = std::visit(
@@ -609,11 +568,10 @@ std::optional<std::string> ShardSet::RestoreLocked(
   BinaryReader reader(payload.data(), payload.size());
   uint32_t magic = 0;
   uint32_t shard_count = 0;
-  uint64_t shed = 0;
-  uint64_t inline_applied = 0;
+  uint64_t reserved[2];
   if (!reader.GetU32(&magic) || magic != kShardSetMagic ||
-      !reader.GetU32(&shard_count) || !reader.GetU64(&shed) ||
-      !reader.GetU64(&inline_applied)) {
+      !reader.GetU32(&shard_count) || !reader.GetU64(&reserved[0]) ||
+      !reader.GetU64(&reserved[1])) {
     return std::string("shard-set payload: bad header");
   }
   if (shard_count != num_shards()) {
@@ -684,8 +642,6 @@ std::optional<std::string> ShardSet::RestoreLocked(
     shards_[i]->applied_tuples.store(applied[i],
                                      std::memory_order_release);
   }
-  shed_weight_.store(shed, std::memory_order_relaxed);
-  inline_applied_.store(inline_applied, std::memory_order_relaxed);
   return std::nullopt;
 }
 

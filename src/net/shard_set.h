@@ -14,12 +14,11 @@
 // ASketch::ApplyDelta (head totals re-probed, then the misses through
 // UpdateBatch, or as sketch blocks while the head is unchanged). Decode
 // threads never touch shard state, so the single-writer seqlock
-// invariant holds by construction. When a queue stays full past the
-// bounded wait, the OverloadPolicy below applies: kInlineApply
-// applies the delta on the caller thread under the shard mutex
-// (one-sided guarantee intact, caller pays the cycles), kShed drops it
-// and accounts the weight. Both paths are reported through NetMetrics
-// and WireStats.
+// invariant holds by construction. A decode thread that finds its
+// shard's queue full waits, with no deadline, until the queue has room
+// (DESIGN.md §4c); a delta reaches a synopsis only by being popped off
+// its queue, so every shard applies its deltas in queue order and every
+// acked tuple is applied.
 //
 // Queries read the *applied* state: tuples still queued are not yet
 // visible. SNAPSHOT and DIGEST therefore drain all queues first, making
@@ -42,7 +41,7 @@
 // relaxed atomic sketch-cell reads, so read latency no longer collapses
 // when an ingest worker is mid-batch under the mutex. Answers remain
 // one-sided and prefix-consistent per key (DESIGN.md §5c); shard.mu
-// still serializes the writers (worker, own-write and inline applies,
+// still serializes the writers (worker and own-write applies,
 // restore).
 //
 // Persistence: SaveSnapshot serializes all shards into one
@@ -75,17 +74,6 @@
 #include "src/net/protocol.h"
 
 namespace asketch {
-
-/// What Ingest does with a delta once the bounded wait on a full shard
-/// queue is exhausted.
-enum class OverloadPolicy : uint8_t {
-  /// Apply the delta on the caller thread under the shard mutex. Keeps
-  /// the one-sided estimate guarantee; costs caller cycles.
-  kInlineApply,
-  /// Drop the delta and account its weight as shed. The guarantee then
-  /// only covers non-shed weight.
-  kShed,
-};
 
 namespace net {
 
@@ -217,8 +205,8 @@ class ShardSet;
 /// One connection's read-your-writes session (Terry et al., "Session
 /// Guarantees for Weakly Consistent Replicated Data", PDIS 1994): per
 /// shard, the tuples the connection has queued that no apply has retired
-/// yet. Ingest counts a delta in when it queues it, never a shed or
-/// inline-applied one; whichever thread applies the delta counts it out.
+/// yet. Ingest counts a delta in when it queues it; whichever thread
+/// applies the delta counts it out.
 /// ShardSet::AwaitOwnWrites brings the counts to zero. Queued deltas
 /// point at the counts, so the destructor does the same. Used by one
 /// connection thread at a time.
@@ -242,11 +230,9 @@ struct ShardSetOptions {
   uint32_t num_shards = 4;
   ASketchConfig shard_config;
   SketchBackend backend = SketchBackend::kCountMin;
-  /// Bounded per-shard queue length, in batches.
+  /// Bounded per-shard queue length, in batches. Ingest waits for room
+  /// in a full queue.
   size_t max_queue_batches = 64;
-  /// How long Ingest waits on a full queue before degrading.
-  uint32_t max_enqueue_wait_ms = 100;
-  OverloadPolicy overload = OverloadPolicy::kInlineApply;
   /// Ingest flushes a shard's delta to the owner once it holds this
   /// many tuples; FlushDeltas flushes the rest. (The server flushes after
   /// every UPDATE frame, which is smaller.)
@@ -270,22 +256,23 @@ class ShardSet {
   /// builds one delta per shard the frame touches and every one is
   /// queued before returning. With a caller-held state the tuples join
   /// its per-shard deltas through ShardDelta::Add, and only shards whose
-  /// delta reached delta_flush_tuples are flushed. A flush blocks at
-  /// most max_enqueue_wait_ms per full queue, then degrades per the
-  /// overload policy. Returns the weight shed (0 under kInlineApply).
-  /// With `own_writes` (null-state calls only), every delta queued is
-  /// counted into it, so AwaitOwnWrites can make it visible.
-  uint64_t Ingest(std::span<const Tuple> tuples,
-                  DeltaIngestState* delta_state = nullptr,
-                  OwnWrites* own_writes = nullptr);
+  /// delta reached delta_flush_tuples are flushed. A flush into a full
+  /// queue waits until the queue has room. With `own_writes` (null-state
+  /// calls only), every delta queued is counted into it, so
+  /// AwaitOwnWrites can make it visible. Ingest must not overlap the
+  /// destructor: a wait ends only when a pop makes room, and the owners
+  /// stop popping there.
+  void Ingest(std::span<const Tuple> tuples,
+              DeltaIngestState* delta_state = nullptr,
+              OwnWrites* own_writes = nullptr);
 
   /// A delta accumulator sized for this set; see DeltaIngestState.
   DeltaIngestState MakeDeltaState() const;
 
-  /// Flushes every non-empty delta in `state` to its shard queue (same
-  /// bounded-wait + overload discipline as Ingest). Returns the weight
-  /// shed. After this returns, a Drain() barrier covers the tuples.
-  uint64_t FlushDeltas(DeltaIngestState& state);
+  /// Flushes every non-empty delta in `state` to its shard queue,
+  /// waiting for room like Ingest. After this returns, a Drain()
+  /// barrier covers the tuples.
+  void FlushDeltas(DeltaIngestState& state);
 
   /// Blocks until every queued batch has been applied and no popped
   /// batch is still being applied, by an owner or by a reader in
@@ -317,7 +304,7 @@ class ShardSet {
   /// shard's entries come from one validated filter snapshot.
   std::vector<TopKEntry> TopK(uint32_t k) const;
 
-  /// Tuples applied so far by `shard` (worker + inline applies). Only
+  /// Tuples applied so far by `shard` (owner and own-write applies). Only
   /// advances after a whole sub-batch is applied, so the value is always
   /// a sub-batch boundary — the prefix-cut handle the concurrency tests
   /// bracket their oracle checks with.
@@ -352,7 +339,7 @@ class ShardSet {
                                               StateDigest* digest);
 
   /// Test hook: while stalled, workers stop popping batches, so queues
-  /// fill deterministically and the overload paths can be exercised.
+  /// fill deterministically and Ingest's wait for room can be exercised.
   void StallWorkersForTesting(bool stalled);
 
  private:
@@ -365,14 +352,14 @@ class ShardSet {
   };
 
   struct Shard {
-    /// Serializes the *writers* of sketch + applied_tuples (worker
-    /// batch application, own-write and inline applies, restore), and
-    /// every pop of the queue. Readers go through the sketch's
-    /// lock-free query path instead of taking it.
+    /// Serializes the *writers* of sketch + applied_tuples (worker and
+    /// own-write applies, restore), and every pop of the queue.
+    /// Readers go through the sketch's lock-free query path instead of
+    /// taking it.
     mutable std::mutex mu;
     AnyServingSketch sketch;
-    /// Tuples applied (worker + inline). Written under mu, bumped only
-    /// at work-item boundaries; read without mu by AppliedTuples.
+    /// Tuples applied. Written under mu, bumped only at work-item
+    /// boundaries; read without mu by AppliedTuples.
     std::atomic<uint64_t> applied_tuples{0};
 
     std::mutex queue_mu;
@@ -389,9 +376,10 @@ class ShardSet {
   };
 
   void WorkerLoop(Shard& shard);
-  /// Pops the queue head and applies it; caller holds shard.mu, so no
-  /// other thread can pop until the delta is applied. Returns the
-  /// tuples applied, 0 when the queue was empty.
+  /// Pops the queue head and applies it, the only way a delta reaches
+  /// a synopsis; caller holds shard.mu, so no other thread can pop
+  /// until the delta is applied. Returns the tuples applied, 0 when the
+  /// queue was empty.
   uint64_t ApplyQueueHeadLocked(Shard& shard);
   /// The split index for the shards' current filters: the cached one
   /// while every shard's head still holds its live filter's key set
@@ -399,16 +387,12 @@ class ShardSet {
   /// fresh snapshots of the shards that moved, which replaces the
   /// cache.
   std::shared_ptr<const SplitIndex> CurrentSplitIndex();
-  /// Applies one delta under shard.mu (caller holds it) and bumps
-  /// applied_tuples at the boundary; returns the tuple count applied.
-  uint64_t ApplyLocked(Shard& shard, ShardDelta& delta);
-  /// Bounded-wait enqueue of `delta`, degrading per the overload policy
-  /// when the wait expires; a queued delta is counted into `pending`
-  /// when that is non-null. Returns the weight shed (0 unless kShed).
-  uint64_t Submit(Shard& shard, ShardDelta delta,
-                  std::atomic<uint64_t>* pending);
+  /// Queues `delta`, first waiting for room if the queue is full; the
+  /// delta is counted into `pending` when that is non-null.
+  void Submit(Shard& shard, ShardDelta delta,
+              std::atomic<uint64_t>* pending);
   /// Flushes shard `index`'s delta from `state` if it is non-empty.
-  uint64_t FlushShardDelta(uint32_t index, DeltaIngestState& state);
+  void FlushShardDelta(uint32_t index, DeltaIngestState& state);
   /// Serializes all shards; caller must hold every shard.mu.
   std::vector<uint8_t> SerializeLocked() const;
   /// Deserializes `payload` into the shards; caller must hold every
@@ -425,8 +409,6 @@ class ShardSet {
   std::shared_ptr<const SplitIndex> split_index_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> stalled_{false};
-  std::atomic<uint64_t> shed_weight_{0};
-  std::atomic<uint64_t> inline_applied_{0};
   std::vector<uint64_t> gauge_ids_;
 };
 

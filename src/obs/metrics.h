@@ -18,7 +18,7 @@
 // next thread reuses it, so counter totals survive thread churn and
 // memory stays bounded by the peak thread count.
 //
-// Gauges are instantaneous values (queue depth, degraded flags): a single
+// Gauges are instantaneous values (queue depth, open connections): a single
 // shared atomic, set from cold paths only. Callback gauges are evaluated
 // at collection time and cost the hot path nothing — they are how
 // always-current values like queue occupancy are exposed.

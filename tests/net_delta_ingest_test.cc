@@ -1,7 +1,7 @@
 // ShardSet ingest (src/net/shard_set.{h,cc}): equality with serial
 // per-shard UpdateBatch under a stable head for both backends,
-// flush/drain barrier semantics, the overload paths, snapshot
-// round-trips, read-your-writes sessions, and — under TSan —
+// flush/drain barrier semantics, snapshot round-trips, read-your-writes
+// sessions beside full queues, and — under TSan —
 // concurrent decode threads building deltas, stable-head and churning,
 // while lock-free readers and read-your-writes sessions query.
 
@@ -74,10 +74,9 @@ std::vector<ServingT> ParseShards(std::span<const uint8_t> payload) {
   BinaryReader reader(payload.data(), payload.size());
   uint32_t magic = 0;
   uint32_t count = 0;
-  uint64_t shed = 0;
-  uint64_t inline_applied = 0;
+  uint64_t reserved[2];
   EXPECT_TRUE(reader.GetU32(&magic) && reader.GetU32(&count) &&
-              reader.GetU64(&shed) && reader.GetU64(&inline_applied));
+              reader.GetU64(&reserved[0]) && reader.GetU64(&reserved[1]));
   std::vector<ServingT> shards;
   for (uint32_t i = 0; i < count; ++i) {
     uint64_t applied = 0;
@@ -259,31 +258,6 @@ TEST(NetDeltaIngestTest, AutoFlushHonorsEpochThreshold) {
   EXPECT_EQ(TotalApplied(shards), payload.size());
 }
 
-TEST(NetDeltaIngestTest, ShedOverloadAccountsDeltaWeight) {
-  ShardSetOptions options =
-      BaseOptions(SketchBackend::kCountMin);
-  options.overload = OverloadPolicy::kShed;
-  options.max_queue_batches = 1;
-  options.max_enqueue_wait_ms = 1;
-  ShardSet shards(options);
-  shards.StallWorkersForTesting(true);
-  DeltaIngestState state = shards.MakeDeltaState();
-  std::vector<Tuple> tuples;
-  for (item_t key = 0; key < 512; ++key) tuples.push_back(Tuple{key, 3});
-  shards.Ingest(tuples, &state);
-  uint64_t shed = shards.FlushDeltas(state);
-  // One delta per shard fits the queue; flushing again with fresh
-  // tuples must shed and report the dropped weight.
-  shards.Ingest(tuples, &state);
-  shed += shards.FlushDeltas(state);
-  EXPECT_GT(shed, 0u);
-  EXPECT_EQ(shed % 3, 0u);  // whole tuples of weight 3
-  shards.StallWorkersForTesting(false);
-  shards.Drain();
-  const WireStats stats = shards.GetStats();
-  EXPECT_EQ(stats.shed_weight, shed);
-}
-
 TEST(NetDeltaIngestTest, SnapshotRoundTripsDeltaIngestedState) {
   ShardSet shards(BaseOptions(SketchBackend::kCountMin));
   DeltaIngestState state = shards.MakeDeltaState();
@@ -413,14 +387,12 @@ TEST(NetDeltaIngestTest, ChurningHeadDecodeThreadsAndBatchReaderStayExact) {
 }
 
 // Two bulk decode threads ingest without a session while two sessions
-// each write a fresh key and read it back. Every read-back counts the
-// session's own weight unless the overload policy shed it, and the
-// applied plus shed tuples add up to everything sent.
-void RunSessionsBesideBulkWriters(OverloadPolicy overload) {
+// each write a fresh key and read it back, all through two-batch queues
+// that keep filling. Every read-back counts the session's own weight,
+// every tuple sent is applied, and no estimate falls below the truth.
+TEST(NetDeltaIngestTest, SessionsReadOwnWritesBesideBulkWriters) {
   ShardSetOptions options = BaseOptions(SketchBackend::kCountMin);
-  options.overload = overload;
   options.max_queue_batches = 2;
-  options.max_enqueue_wait_ms = 1;
   ShardSet shards(options);
   ExactCounter truth(kDomain);
   std::vector<std::vector<Tuple>> streams;
@@ -430,14 +402,12 @@ void RunSessionsBesideBulkWriters(OverloadPolicy overload) {
       truth.Update(t.key, static_cast<delta_t>(t.value));
     }
   }
-  std::atomic<uint64_t> shed{0};
   std::vector<std::thread> threads;
   for (const auto& stream : streams) {
-    threads.emplace_back([&shards, &shed, &stream] {
+    threads.emplace_back([&shards, &stream] {
       for (size_t begin = 0; begin < stream.size(); begin += 499) {
         const size_t count = std::min<size_t>(499, stream.size() - begin);
-        shed += shards.Ingest(
-            std::span<const Tuple>(stream.data() + begin, count));
+        shards.Ingest(std::span<const Tuple>(stream.data() + begin, count));
       }
     });
   }
@@ -451,13 +421,10 @@ void RunSessionsBesideBulkWriters(OverloadPolicy overload) {
         // Fresh keys above the payload domain, disjoint per session.
         const item_t key = kDomain + session * kSessionKeys + j;
         const std::vector<Tuple> frame(kOwnWeight, Tuple{key, 1});
-        const uint64_t frame_shed = shards.Ingest(frame, nullptr, &own_writes);
-        shed += frame_shed;
+        shards.Ingest(frame, nullptr, &own_writes);
         session_tuples += frame.size();
         shards.AwaitOwnWrites(own_writes);
-        if (frame_shed == 0) {
-          ASSERT_GE(shards.Estimate(key), kOwnWeight) << "key " << key;
-        }
+        ASSERT_GE(shards.Estimate(key), kOwnWeight) << "key " << key;
       }
     });
   }
@@ -465,25 +432,13 @@ void RunSessionsBesideBulkWriters(OverloadPolicy overload) {
   shards.Drain();
 
   const WireStats stats = shards.GetStats();
-  EXPECT_EQ(stats.shed_weight, shed.load());
-  EXPECT_EQ(stats.ingested + stats.shed_weight,
+  EXPECT_EQ(stats.ingested,
             streams[0].size() + streams[1].size() + session_tuples.load());
-  if (overload == OverloadPolicy::kInlineApply) {
-    EXPECT_EQ(stats.shed_weight, 0u);
-    for (item_t key = 0; key < kDomain; ++key) {
-      ASSERT_GE(static_cast<wide_count_t>(shards.Estimate(key)),
-                truth.Count(key))
-          << "key " << key;
-    }
+  for (item_t key = 0; key < kDomain; ++key) {
+    ASSERT_GE(static_cast<wide_count_t>(shards.Estimate(key)),
+              truth.Count(key))
+        << "key " << key;
   }
-}
-
-TEST(NetDeltaIngestTest, SessionsReadOwnWritesBesideBulkWritersInline) {
-  RunSessionsBesideBulkWriters(OverloadPolicy::kInlineApply);
-}
-
-TEST(NetDeltaIngestTest, SessionsReadOwnWritesBesideBulkWritersShed) {
-  RunSessionsBesideBulkWriters(OverloadPolicy::kShed);
 }
 
 // A reader applying its own delta has popped it, so the queue is empty

@@ -2,12 +2,13 @@
 // negotiation over the wire (including mismatch and hello-required
 // rejection), single-client determinism against an in-process ShardSet
 // oracle under a stable head, one-sidedness and conservation under head
-// churn, concurrent-client conservation, garbage-resilience, overload
-// degradation, snapshot/recover bit-identity, read-your-writes on a
-// connection, and the reaping of finished connection threads.
+// churn, concurrent-client conservation, garbage-resilience, waits on
+// a full shard queue, snapshot/recover bit-identity, read-your-writes on
+// a connection, and the reaping of finished connection threads.
 
 #include "src/net/server.h"
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -532,56 +533,46 @@ TEST(NetServer, SnapshotWithoutPrefixAnswersError) {
   EXPECT_NE(error->find("snapshot_failed"), std::string::npos);
 }
 
-TEST(ShardSetTest, OverloadShedsWhenStalledAndQueuesBounded) {
+// Six frames over disjoint key sets: no frame's keys are in a head
+// snapshot when it is split, so each delta carries its tuples as misses
+// in arrival order, and the final state depends on the queue order
+// alone, not on how far the owners had got (ALGORITHMS.md §7).
+// Exchanges inside each frame make that order matter.
+TEST(ShardSetTest, FullQueueWaitsAndKeepsQueueOrder) {
   ShardSetOptions options;
   options.num_shards = 2;
   options.shard_config.total_bytes = 32 * 1024;
-  options.max_queue_batches = 2;
-  options.max_enqueue_wait_ms = 1;
-  options.overload = OverloadPolicy::kShed;
+  options.max_queue_batches = 1;
+  std::vector<std::vector<Tuple>> frames;
+  for (uint64_t f = 0; f < 6; ++f) {
+    frames.push_back(TestStream(5'000, /*seed=*/20 + f));
+    for (Tuple& t : frames.back()) t.key += static_cast<item_t>(f << 20);
+  }
+  ShardSet reference(options);
+  for (const auto& frame : frames) reference.Ingest(frame);
+  StateDigest want;
+  reference.SerializeState(&want);
+
   ShardSet shards(options);
   shards.StallWorkersForTesting(true);
-
-  const auto tuples = TestStream(10'000);
-  uint64_t shed = 0;
-  for (int round = 0; round < 8; ++round) {
-    shed += shards.Ingest(tuples);
+  std::atomic<bool> returned{false};
+  std::thread ingest([&] {
+    for (const auto& frame : frames) shards.Ingest(frame);
+    returned.store(true);
+  });
+  // The first frame fills both one-batch queues; the second waits for
+  // room however long the owners stay stalled.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(returned.load()) << "Ingest into a full queue must wait";
+  for (uint32_t s = 0; s < shards.num_shards(); ++s) {
+    EXPECT_EQ(shards.AppliedTuples(s), 0u) << "shard " << s;
   }
-  EXPECT_GT(shed, 0u) << "stalled bounded queues must shed";
-
   shards.StallWorkersForTesting(false);
-  shards.Drain();
-  const WireStats stats = shards.GetStats();
-  EXPECT_EQ(stats.shed_weight, shed);
-  // Conservation: everything not shed was applied.
-  uint64_t total_weight = 0;
-  for (const Tuple& t : tuples) total_weight += t.value;
-  EXPECT_EQ(stats.filtered_weight + stats.sketch_weight,
-            8 * total_weight - shed);
-}
-
-TEST(ShardSetTest, OverloadInlineAppliesEverything) {
-  ShardSetOptions options;
-  options.num_shards = 2;
-  options.shard_config.total_bytes = 32 * 1024;
-  options.max_queue_batches = 2;
-  options.max_enqueue_wait_ms = 1;
-  options.overload = OverloadPolicy::kInlineApply;
-  ShardSet shards(options);
-  shards.StallWorkersForTesting(true);
-
-  const auto tuples = TestStream(10'000);
-  uint64_t shed = 0;
-  for (int round = 0; round < 4; ++round) {
-    shed += shards.Ingest(tuples);
-  }
-  EXPECT_EQ(shed, 0u);
-  shards.StallWorkersForTesting(false);
-  shards.Drain();
-  const WireStats stats = shards.GetStats();
-  EXPECT_EQ(stats.ingested, 4 * tuples.size());
-  EXPECT_GT(stats.inline_applied, 0u)
-      << "stalled bounded queues must degrade to inline application";
+  ingest.join();
+  StateDigest got;
+  shards.SerializeState(&got);
+  EXPECT_EQ(got.ingested, 6u * 5'000u);
+  EXPECT_EQ(got.digest, want.digest);
 }
 
 TEST(ShardSetTest, ShardRoutingIsDisjointAndTotal) {
@@ -614,8 +605,10 @@ std::vector<uint8_t> PayloadWithUnderflowedEntry(
   BinaryWriter writer;
   writer.PutU32(kShardSetPayloadType);  // "SRD1"
   writer.PutU32(options.num_shards);
-  writer.PutU64(0);  // shed_weight
-  writer.PutU64(0);  // inline_applied
+  // The two reserved header words held overload counters in older
+  // servers; a restore must ignore whatever they carry.
+  writer.PutU64(6'472);
+  writer.PutU64(3'528);
   const uint32_t bad_shard = ShardOf(bad_key, options.num_shards);
   for (uint32_t s = 0; s < options.num_shards; ++s) {
     ServingSketch crafted =

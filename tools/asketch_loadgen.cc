@@ -108,7 +108,6 @@ struct LoadgenConfig {
 
 struct WorkerResult {
   uint64_t sent = 0;
-  uint64_t shed = 0;
   uint64_t reconnects = 0;
   uint64_t retries = 0;
   uint64_t replayed = 0;
@@ -163,7 +162,6 @@ void RunWorker(const LoadgenConfig& config,
     return;
   }
   result->sent = sent;
-  result->shed = client.last_ack().shed_weight;
   result->reconnects = client.reconnects();
   result->retries = client.retries();
   result->replayed = client.replayed_tuples();
@@ -208,11 +206,9 @@ int RunProbeOp(const net::ClientOptions& options) {
               static_cast<unsigned long long>(digest.ingested),
               digest.digest);
   std::printf(
-      "stats shards=%u ingested=%llu shed=%llu inline=%llu "
-      "filtered=%llu sketch=%llu exchanges=%llu memory=%llu\n",
+      "stats shards=%u ingested=%llu filtered=%llu sketch=%llu "
+      "exchanges=%llu memory=%llu\n",
       stats.num_shards, static_cast<unsigned long long>(stats.ingested),
-      static_cast<unsigned long long>(stats.shed_weight),
-      static_cast<unsigned long long>(stats.inline_applied),
       static_cast<unsigned long long>(stats.filtered_weight),
       static_cast<unsigned long long>(stats.sketch_weight),
       static_cast<unsigned long long>(stats.exchanges),
@@ -389,7 +385,6 @@ int main(int argc, char** argv) {
           .count();
 
   uint64_t sent = 0;
-  uint64_t shed = 0;
   uint64_t reconnects = 0;
   uint64_t retries = 0;
   uint64_t replayed = 0;
@@ -399,7 +394,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     sent += r.sent;
-    shed += r.shed;
     reconnects += r.reconnects;
     retries += r.retries;
     replayed += r.replayed;
@@ -413,9 +407,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(config.tuples),
       static_cast<unsigned long long>(config.keys), config.skew,
       static_cast<unsigned long long>(config.batch));
-  std::printf("elapsed_s=%.3f updates_per_s=%.0f sent=%llu shed=%llu\n",
-              elapsed, rate, static_cast<unsigned long long>(sent),
-              static_cast<unsigned long long>(shed));
+  std::printf("elapsed_s=%.3f updates_per_s=%.0f sent=%llu\n", elapsed,
+              rate, static_cast<unsigned long long>(sent));
   if (config.client.auto_reconnect || config.client.max_retries > 0) {
     std::printf("resilience reconnects=%llu retries=%llu replayed=%llu\n",
                 static_cast<unsigned long long>(reconnects),
@@ -428,20 +421,15 @@ int main(int argc, char** argv) {
     net::WireStats stats;
     if (stats_client.Stats(&stats) == std::nullopt) {
       std::printf(
-          "server shards=%u ingested=%llu shed=%llu inline=%llu "
-          "exchanges=%llu memory=%llu\n",
+          "server shards=%u ingested=%llu exchanges=%llu memory=%llu\n",
           stats.num_shards,
           static_cast<unsigned long long>(stats.ingested),
-          static_cast<unsigned long long>(stats.shed_weight),
-          static_cast<unsigned long long>(stats.inline_applied),
           static_cast<unsigned long long>(stats.exchanges),
           static_cast<unsigned long long>(stats.memory_bytes));
     }
   }
   std::fflush(stdout);
 
-  if (config.verify && shed == 0) {
-    return VerifyOneSided(config.client, tuples);
-  }
+  if (config.verify) return VerifyOneSided(config.client, tuples);
   return 0;
 }

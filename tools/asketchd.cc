@@ -5,8 +5,7 @@
 //            [--filter F] [--seed S] [--prefix PFX] [--retain R]
 //            [--recover] [--checkpoint-interval-ms MS]
 //            [--metrics-port MP] [--queue-batches Q]
-//            [--overload inline|shed] [--max-connections C]
-//            [--idle-timeout-ms MS]
+//            [--max-connections C] [--idle-timeout-ms MS]
 //
 // Binds 127.0.0.1:P (0 = ephemeral) and announces the bound port on
 // stdout ("asketchd listening on 127.0.0.1:PORT ...", flushed) so
@@ -59,7 +58,7 @@ int Usage() {
       "                [--sketch countmin|salsa] [--bytes B] [--width W]\n"
       "                [--filter F] [--seed S]\n"
       "                [--max-connections C] [--idle-timeout-ms MS]\n"
-      "                [--queue-batches Q] [--overload inline|shed]\n"
+      "                [--queue-batches Q]\n"
       "                [--prefix PFX] [--retain R] [--recover]\n"
       "                [--checkpoint-interval-ms MS] [--metrics-port MP]\n"
       "\n"
@@ -80,9 +79,8 @@ int Usage() {
       "                      (default 0 = never; slow-loris defense)\n"
       "\n"
       "ingest:\n"
-      "  --queue-batches Q   bounded per-shard queue length (default "
-      "64)\n"
-      "  --overload POLICY   inline (default) or shed\n"
+      "  --queue-batches Q   bounded per-shard queue length; a full queue\n"
+      "                      makes ingest wait (default 64)\n"
       "\n"
       "persistence:\n"
       "  --prefix PFX        snapshot store prefix (default: persistence "
@@ -171,16 +169,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue-batches") {
       if (!ParseU64(value(), &n) || n < 1) return Usage();
       options.shards.max_queue_batches = n;
-    } else if (arg == "--overload") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      if (std::strcmp(v, "inline") == 0) {
-        options.shards.overload = OverloadPolicy::kInlineApply;
-      } else if (std::strcmp(v, "shed") == 0) {
-        options.shards.overload = OverloadPolicy::kShed;
-      } else {
-        return Usage();
-      }
     } else if (arg == "--max-connections") {
       if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
       options.max_connections = static_cast<uint32_t>(n);
@@ -234,14 +222,11 @@ int main(int argc, char** argv) {
       char buffer[512];
       std::snprintf(buffer, sizeof(buffer),
                     "{\"num_shards\":%u,\"ingested\":%llu,"
-                    "\"shed_weight\":%llu,\"inline_applied\":%llu,"
                     "\"filtered_weight\":%llu,\"sketch_weight\":%llu,"
                     "\"exchanges\":%llu,\"sketch_updates\":%llu,"
                     "\"memory_bytes\":%llu}",
                     s.num_shards,
                     static_cast<unsigned long long>(s.ingested),
-                    static_cast<unsigned long long>(s.shed_weight),
-                    static_cast<unsigned long long>(s.inline_applied),
                     static_cast<unsigned long long>(s.filtered_weight),
                     static_cast<unsigned long long>(s.sketch_weight),
                     static_cast<unsigned long long>(s.exchanges),

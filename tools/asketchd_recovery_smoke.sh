@@ -9,9 +9,10 @@
 # no more and no less.
 #
 # The whole flow runs once per sketch backend (countmin, salsa):
-# recovery must be agnostic to the backend. A last case checks that a
-# daemon with --metrics-port serves ingest and snapshot spans on
-# /trace.json.
+# recovery must be agnostic to the backend. A backpressure case runs
+# eight connections into one-batch shard queues and requires every sent
+# tuple to be applied, and a last case checks that a daemon with
+# --metrics-port serves ingest and snapshot spans on /trace.json.
 #
 # usage: asketchd_recovery_smoke.sh <build_dir>
 set -u
@@ -99,11 +100,12 @@ run_smoke() {
 
 # 32-bit flags: a value above UINT32_MAX is a usage error (exit 2), not
 # a silent truncation (--max-connections 4294967296 would become 0 and
-# refuse every connection). A daemon that starts anyway is stopped by
-# the timeout, which fails the check with status 124.
+# refuse every connection). The deleted --overload flag is one too. A
+# daemon that starts anyway is stopped by the timeout, which fails the
+# check with status 124.
 for case in "--filter 4294967297" "--retain 4294967297" \
             "--checkpoint-interval-ms 4294967296" \
-            "--max-connections 4294967296"; do
+            "--max-connections 4294967296" "--overload inline"; do
   # shellcheck disable=SC2086  # split "flag value" into two arguments
   timeout 10 "$ASKETCHD" --port 0 $case >"$WORK/flag.log" 2>&1
   status=$?
@@ -130,6 +132,30 @@ for skew in nan inf; do
     || fail "asketch_loadgen --skew $skew: expected usage exit 2, got $status: $(cat "$WORK/flag.log")"
 done
 echo "non-finite loadgen skew rejected with usage"
+
+# Backpressure over TCP: eight closed-loop connections into one-batch
+# shard queues make decode threads wait for room. Every sent tuple must
+# be applied (the drained digest counts them) and stay one-sided.
+backpressure_smoke() {
+  local dir="$WORK/backpressure" sent ingested
+  mkdir -p "$dir"
+  DAEMON_FLAGS=(--port 0 --shards 4 --bytes 32768 --queue-batches 1)
+  echo "--- backpressure: --queue-batches 1, 8 connections ---"
+  start_server "$dir/server.log"
+  "$LOADGEN" --port "$PORT" --connections 8 --tuples 1000000 --keys 200000 \
+    --skew 0.8 --seed 9 --verify >"$dir/load.log" 2>&1 \
+    || fail "backpressure load: $(cat "$dir/load.log")"
+  "$LOADGEN" --port "$PORT" --probe >"$dir/probe.log" 2>&1 \
+    || fail "backpressure probe: $(cat "$dir/probe.log")"
+  sent=$(sed -n 's/.* sent=\([0-9]*\).*/\1/p' "$dir/load.log")
+  ingested=$(sed -n 's/^digest .*ingested=\([0-9]*\).*/\1/p' "$dir/probe.log")
+  [ -n "$sent" ] && [ "$sent" = "$ingested" ] \
+    || fail "ingested=$ingested differs from sent=$sent"
+  echo "ingested=$ingested equals sent=$sent"
+  kill "$SERVER_PID" 2>/dev/null
+  wait "$SERVER_PID" 2>/dev/null
+  SERVER_PID=""
+}
 
 # /trace.json: with --metrics-port the daemon records spans, so after
 # an ingest and a SIGUSR1 checkpoint the timeline holds both.
@@ -176,6 +202,7 @@ trace_smoke() {
 
 run_smoke countmin
 run_smoke salsa
+backpressure_smoke
 trace_smoke
 
-echo "PASS: recovered serving state is bit-identical to the snapshot (both backends); /trace.json records spans"
+echo "PASS: recovered serving state is bit-identical to the snapshot (both backends); full queues drop nothing; /trace.json records spans"

@@ -6,7 +6,8 @@
 # they make is emitted with zero counts) with --coverage at -O0 in
 # <scratch_dir>/build, then runs only the drivers the project keeps:
 #
-#   - the 16 paper figure and table benches and bench_salsa_accuracy, at
+#   - the 16 paper figure and table benches, bench_salsa_accuracy and
+#     bench_ablation_backends (the only bench that runs Count Sketch), at
 #     ASKETCH_BENCH_SCALE=0.01;
 #   - tools_smoke, asketchd_recovery_smoke and asketchd_chaos_smoke;
 #   - the six examples (each is also a ctest);
@@ -38,7 +39,7 @@ PAPER_BENCHES=(bench_table1 bench_fig03_selectivity bench_fig05_throughput
   bench_table5_precision bench_fig09_exchanges bench_fig10_realworld
   bench_fig11_spacesaving bench_fig12_pipeline bench_fig13_spmd
   bench_fig14_filters bench_fig15_filter_size bench_appendix
-  bench_fig17_selectivity_model bench_salsa_accuracy)
+  bench_fig17_selectivity_model bench_salsa_accuracy bench_ablation_backends)
 EXAMPLES=(quickstart heavy_hitters network_monitor pipeline_demo nlp_pmi
   load_balancer)
 
