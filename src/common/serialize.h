@@ -1,13 +1,16 @@
 // Binary (de)serialization primitives.
 //
-// Synopses are long-lived: a monitoring agent builds a 128 KB summary
-// over hours and ships it to an aggregator, or checkpoints it across
-// restarts. Every summary type in this library therefore supports
+// Two summaries are persisted: asketchd checkpoints
+// ASketch<RelaxedHeapFilter, CountMin | SalsaCountMin> inside its SRD1
+// shard-set payload, and asketch_cli writes ASketch<RelaxedHeapFilter,
+// CountMin> synopsis files. So CountMin, SalsaCountMin, the heap filters
+// and ASketch implement
 //   bool SerializeTo(BinaryWriter&) const;
 //   static std::optional<T> DeserializeFrom(BinaryReader&);
-// over the little-endian primitives below. Hash functions are never
-// written: they are reconstructed deterministically from the serialized
-// config seed, which also makes serialized sketches mergeable.
+// over the little-endian primitives below; the other summaries live only
+// in memory. Hash functions are never written: they are reconstructed
+// deterministically from the serialized config seed, which also makes two
+// deserialized Count-Min synopses mergeable.
 //
 // Readers are defensive: every Get* reports failure on a short file, and
 // deserializers validate configs before allocating, so a truncated or
@@ -32,12 +35,6 @@ namespace asketch {
 /// before the constructor zero-fills gigabytes.
 inline constexpr uint32_t kMaxSerializedCapacity = 1u << 20;
 
-/// Upper bound a deserializer accepts for a serialized byte-budget field
-/// (e.g. a config's total_bytes) before constructing the summary. Same
-/// rationale as kMaxSerializedCapacity: a single flipped high bit in a
-/// u64 budget must not translate into a multi-gigabyte allocation.
-inline constexpr uint64_t kMaxSerializedBytes = uint64_t{1} << 28;
-
 /// Appends little-endian primitives to an in-memory buffer or a FILE*.
 class BinaryWriter {
  public:
@@ -49,8 +46,6 @@ class BinaryWriter {
   void PutU8(uint8_t v) { PutBytes(&v, 1); }
   void PutU32(uint32_t v) { PutBytes(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutBytes(&v, sizeof(v)); }
-  void PutI64(int64_t v) { PutBytes(&v, sizeof(v)); }
-  void PutDouble(double v) { PutBytes(&v, sizeof(v)); }
 
   void PutBytes(const void* data, size_t size) {
     if (!ok_) return;
@@ -99,8 +94,6 @@ class BinaryReader {
   bool GetU8(uint8_t* v) { return GetBytes(v, 1); }
   bool GetU32(uint32_t* v) { return GetBytes(v, sizeof(*v)); }
   bool GetU64(uint64_t* v) { return GetBytes(v, sizeof(*v)); }
-  bool GetI64(int64_t* v) { return GetBytes(v, sizeof(*v)); }
-  bool GetDouble(double* v) { return GetBytes(v, sizeof(*v)); }
 
   bool GetBytes(void* out, size_t size) {
     if (!ok_) return false;

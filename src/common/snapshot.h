@@ -28,15 +28,17 @@
 // Payload type tag registry (each summary class mirrors its tag as
 // `kSnapshotPayloadType`; keep this list authoritative):
 //
-//    1 CountMin            7 reserved (retired DyadicCountMin)
-//    2 CountSketch         8 VectorFilter
-//    3 Fcm                 9 StrictHeapFilter
-//    4 MisraGries         10 RelaxedHeapFilter
-//    5 SpaceSaving        11 StreamSummaryFilter
-//    6 HolisticUdaf       12 reserved (retired WindowedASketch)
-//                         13 SalsaCountMin
+//    1 CountMin                      8 reserved (VectorFilter)
+//    2 reserved (CountSketch)        9 StrictHeapFilter
+//    3 reserved (Fcm)               10 RelaxedHeapFilter
+//    4 reserved (MisraGries)        11 reserved (StreamSummaryFilter)
+//    5 reserved (SpaceSaving)       12 reserved (retired WindowedASketch)
+//    6 reserved (HolisticUdaf)      13 SalsaCountMin
+//    7 reserved (retired DyadicCountMin)
 //   Reserved tags are never reused, so a blob written under one still
-//   fails to load instead of being read as another type.
+//   fails to load instead of being read as another type. Tags 2-6, 8
+//   and 11 belonged to summaries that are still in the library but are
+//   no longer serialized.
 //   ASketch<F, S> composes 0x41000000 | (F's tag << 8) | S's tag.
 //   Application formats (e.g. asketchd's "SRD1" shard-set payload) use
 //   tags with a nonzero top byte outside 0x41. "CKP1" and "CKP2" (retired

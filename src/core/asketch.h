@@ -274,8 +274,13 @@ class ASketch {
   /// filter's entries by `other`'s sketch estimate for its key — that
   /// mass is now inside the merged sketch, so both counters grow by it.
   /// The weight split of stats() is the sum of both inputs' splits
-  /// (ALGORITHMS.md §4 states what else a merge preserves).
-  std::optional<std::string> MergeFrom(const ASketch& other) {
+  /// (ALGORITHMS.md §4 states what else a merge preserves). Exists only
+  /// for sketches that merge themselves (CountMin).
+  std::optional<std::string> MergeFrom(const ASketch& other)
+      requires requires(SketchT& s, const SketchT& o) {
+        s.MergeFrom(o);
+      }
+  {
     if (filter_.capacity() != other.filter_.capacity()) {
       return std::string("ASketch::MergeFrom: filter capacities differ");
     }
@@ -981,12 +986,8 @@ ASketch<FilterT, CountSketch> MakeASketchCountSketch(
                                        CountSketch(sketch_config));
 }
 
-extern template class ASketch<VectorFilter, CountMin>;
 extern template class ASketch<StrictHeapFilter, CountMin>;
 extern template class ASketch<RelaxedHeapFilter, CountMin>;
-extern template class ASketch<StreamSummaryFilter, CountMin>;
-extern template class ASketch<RelaxedHeapFilter, Fcm>;
-extern template class ASketch<RelaxedHeapFilter, CountSketch>;
 extern template class ASketch<RelaxedHeapFilter, SalsaCountMin>;
 
 }  // namespace asketch

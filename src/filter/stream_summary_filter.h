@@ -16,11 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "src/common/check.h"
-#include "src/common/serialize.h"
 #include "src/common/stream_summary.h"
 #include "src/common/types.h"
 #include "src/filter/filter_interface.h"
@@ -104,45 +102,6 @@ class StreamSummaryFilter {
   }
 
   static std::string Name() { return "Stream-Summary"; }
-
-  /// Snapshot-envelope payload tag (registry: src/common/snapshot.h).
-  static constexpr uint32_t kSnapshotPayloadType = 11;
-
-  bool SerializeTo(BinaryWriter& writer) const {
-    writer.PutU32(0x31545353u);  // "SST1"
-    writer.PutU32(summary_.capacity());
-    writer.PutU32(summary_.size());
-    summary_.ForEach([&writer](item_t key, count_t count, count_t aux) {
-      writer.PutU32(key);
-      writer.PutU32(count);
-      writer.PutU32(aux);
-    });
-    return writer.ok();
-  }
-
-  static std::optional<StreamSummaryFilter> DeserializeFrom(
-      BinaryReader& reader) {
-    uint32_t magic = 0, capacity = 0, size = 0;
-    if (!reader.GetU32(&magic) || magic != 0x31545353u) {
-      return std::nullopt;
-    }
-    if (!reader.GetU32(&capacity) || capacity < 1 ||
-        capacity > kMaxSerializedCapacity ||
-        !reader.GetU32(&size) || size > capacity) {
-      return std::nullopt;
-    }
-    StreamSummaryFilter filter(capacity);
-    for (uint32_t i = 0; i < size; ++i) {
-      uint32_t key = 0, count = 0, aux = 0;
-      if (!reader.GetU32(&key) || !reader.GetU32(&count) ||
-          !reader.GetU32(&aux)) {
-        return std::nullopt;
-      }
-      if (filter.Find(key) >= 0) return std::nullopt;
-      filter.Insert(key, count, aux);
-    }
-    return filter;
-  }
 
  private:
   StreamSummary summary_;

@@ -33,46 +33,6 @@ void VectorFilter::Remove(int32_t slot) {
   new_counts_[size_] = std::numeric_limits<count_t>::max();
 }
 
-namespace {
-constexpr uint32_t kVectorFilterMagic = 0x31544c46;  // "FLT1"
-}  // namespace
-
-bool VectorFilter::SerializeTo(BinaryWriter& writer) const {
-  writer.PutU32(kVectorFilterMagic);
-  writer.PutU32(capacity_);
-  writer.PutU32(size_);
-  for (uint32_t i = 0; i < size_; ++i) {
-    writer.PutU32(ids_[i]);
-    writer.PutU32(new_counts_[i]);
-    writer.PutU32(old_counts_[i]);
-  }
-  return writer.ok();
-}
-
-std::optional<VectorFilter> VectorFilter::DeserializeFrom(
-    BinaryReader& reader) {
-  uint32_t magic = 0, capacity = 0, size = 0;
-  if (!reader.GetU32(&magic) || magic != kVectorFilterMagic) {
-    return std::nullopt;
-  }
-  if (!reader.GetU32(&capacity) || capacity < 1 ||
-      capacity > kMaxSerializedCapacity ||
-      !reader.GetU32(&size) || size > capacity) {
-    return std::nullopt;
-  }
-  VectorFilter filter(capacity);
-  for (uint32_t i = 0; i < size; ++i) {
-    uint32_t key = 0, new_count = 0, old_count = 0;
-    if (!reader.GetU32(&key) || !reader.GetU32(&new_count) ||
-        !reader.GetU32(&old_count)) {
-      return std::nullopt;
-    }
-    if (filter.Find(key) >= 0) return std::nullopt;  // duplicate key
-    filter.Insert(key, new_count, old_count);
-  }
-  return filter;
-}
-
 FilterEntry VectorFilter::EvictMin() {
   ASKETCH_CHECK(size_ > 0);
   const int32_t slot = static_cast<int32_t>(

@@ -12,12 +12,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/serialize.h"
 #include "src/common/simd_scan.h"
 #include "src/common/types.h"
 #include "src/filter/filter_interface.h"
@@ -100,12 +98,6 @@ class VectorFilter {
   }
 
   static std::string Name() { return "Vector"; }
-
-  bool SerializeTo(BinaryWriter& writer) const;
-  static std::optional<VectorFilter> DeserializeFrom(BinaryReader& reader);
-
-  /// Snapshot-envelope payload tag (registry: src/common/snapshot.h).
-  static constexpr uint32_t kSnapshotPayloadType = 8;
 
  private:
   uint32_t capacity_;

@@ -94,60 +94,4 @@ count_t CountSketch::UpdateAndEstimate(item_t key, delta_t delta) {
 
 void CountSketch::Reset() { std::fill(cells_.begin(), cells_.end(), 0); }
 
-namespace {
-constexpr uint32_t kCountSketchMagic = 0x314b5343;  // "CSK1"
-}  // namespace
-
-bool CountSketch::CompatibleWith(const CountSketch& other) const {
-  return config_.width == other.config_.width &&
-         config_.depth == other.config_.depth &&
-         config_.seed == other.config_.seed;
-}
-
-std::optional<std::string> CountSketch::MergeFrom(
-    const CountSketch& other) {
-  if (!CompatibleWith(other)) {
-    return "CountSketch::MergeFrom: incompatible configs";
-  }
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    const int64_t v =
-        static_cast<int64_t>(cells_[i]) + other.cells_[i];
-    cells_[i] = static_cast<int32_t>(
-        std::clamp<int64_t>(v, INT32_MIN, INT32_MAX));
-  }
-  return std::nullopt;
-}
-
-bool CountSketch::SerializeTo(BinaryWriter& writer) const {
-  writer.PutU32(kCountSketchMagic);
-  writer.PutU32(config_.width);
-  writer.PutU32(config_.depth);
-  writer.PutU64(config_.seed);
-  writer.PutPodVector(cells_);
-  return writer.ok();
-}
-
-std::optional<CountSketch> CountSketch::DeserializeFrom(
-    BinaryReader& reader) {
-  uint32_t magic = 0;
-  CountSketchConfig config;
-  if (!reader.GetU32(&magic) || magic != kCountSketchMagic) {
-    return std::nullopt;
-  }
-  if (!reader.GetU32(&config.width) || !reader.GetU32(&config.depth) ||
-      !reader.GetU64(&config.seed)) {
-    return std::nullopt;
-  }
-  if (config.Validate().has_value()) return std::nullopt;
-  std::vector<int32_t> cells;
-  if (!reader.GetPodVector(&cells) ||
-      cells.size() !=
-          static_cast<size_t>(config.width) * config.depth) {
-    return std::nullopt;
-  }
-  CountSketch sketch(config);
-  sketch.cells_ = std::move(cells);
-  return sketch;
-}
-
 }  // namespace asketch

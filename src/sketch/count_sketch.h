@@ -21,7 +21,6 @@
 
 #include "src/common/check.h"
 #include "src/common/hashing.h"
-#include "src/common/serialize.h"
 #include "src/common/types.h"
 
 namespace asketch {
@@ -73,19 +72,6 @@ class CountSketch {
   uint32_t depth() const { return config_.depth; }
 
   size_t MemoryUsageBytes() const { return cells_.size() * sizeof(int32_t); }
-
-  /// True if `other` shares width, depth, and seed (hence hash + sign
-  /// functions).
-  bool CompatibleWith(const CountSketch& other) const;
-
-  /// Adds `other`'s cells (clamped). Count Sketch is linearly mergeable.
-  std::optional<std::string> MergeFrom(const CountSketch& other);
-
-  bool SerializeTo(BinaryWriter& writer) const;
-  static std::optional<CountSketch> DeserializeFrom(BinaryReader& reader);
-
-  /// Snapshot-envelope payload tag (registry: src/common/snapshot.h).
-  static constexpr uint32_t kSnapshotPayloadType = 2;
 
   std::string Name() const { return "CountSketch"; }
 

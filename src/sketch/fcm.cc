@@ -147,99 +147,6 @@ count_t Fcm::Estimate(item_t key) const {
   return est;
 }
 
-bool Fcm::CompatibleWith(const Fcm& other) const {
-  return config_.width == other.config_.width &&
-         config_.depth == other.config_.depth &&
-         config_.seed == other.config_.seed &&
-         config_.mg_capacity == other.config_.mg_capacity &&
-         config_.use_mg_classifier == other.config_.use_mg_classifier;
-}
-
-std::optional<std::string> Fcm::MergeFrom(const Fcm& other) {
-  if (!CompatibleWith(other)) {
-    return "Fcm::MergeFrom: incompatible configs";
-  }
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i] = SaturatingAdd(cells_[i],
-                              static_cast<delta_t>(other.cells_[i]));
-  }
-  processed_ += other.processed_;
-  if (config_.use_mg_classifier) {
-    mg_.MergeFrom(other.mg_);
-    for (uint32_t i = 0;
-         i < other.hot_size_ && hot_size_ < config_.mg_capacity; ++i) {
-      const item_t key = other.hot_ids_[i];
-      if (FindKey(hot_ids_.data(), hot_ids_.size(), hot_size_, key) < 0) {
-        hot_ids_[hot_size_++] = key;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-namespace {
-constexpr uint32_t kFcmMagic = 0x314d4346;  // "FCM1"
-}  // namespace
-
-bool Fcm::SerializeTo(BinaryWriter& writer) const {
-  writer.PutU32(kFcmMagic);
-  writer.PutU32(config_.width);
-  writer.PutU32(config_.depth);
-  writer.PutU32(config_.mg_capacity);
-  writer.PutU8(config_.use_mg_classifier ? 1 : 0);
-  writer.PutU64(config_.seed);
-  writer.PutU64(processed_);
-  writer.PutU32(hot_size_);
-  for (uint32_t i = 0; i < hot_size_; ++i) writer.PutU32(hot_ids_[i]);
-  if (config_.use_mg_classifier && !mg_.SerializeTo(writer)) return false;
-  writer.PutPodVector(cells_);
-  return writer.ok();
-}
-
-std::optional<Fcm> Fcm::DeserializeFrom(BinaryReader& reader) {
-  uint32_t magic = 0;
-  FcmConfig config;
-  uint8_t use_mg = 0;
-  if (!reader.GetU32(&magic) || magic != kFcmMagic) return std::nullopt;
-  if (!reader.GetU32(&config.width) || !reader.GetU32(&config.depth) ||
-      !reader.GetU32(&config.mg_capacity) || !reader.GetU8(&use_mg) ||
-      use_mg > 1 || !reader.GetU64(&config.seed)) {
-    return std::nullopt;
-  }
-  config.use_mg_classifier = use_mg != 0;
-  if (config.Validate().has_value()) return std::nullopt;
-  uint64_t processed = 0;
-  uint32_t hot_size = 0;
-  if (!reader.GetU64(&processed) || !reader.GetU32(&hot_size)) {
-    return std::nullopt;
-  }
-  Fcm sketch(config);
-  if (hot_size > sketch.hot_ids_.size() ||
-      hot_size > std::max<uint32_t>(1, config.mg_capacity)) {
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < hot_size; ++i) {
-    if (!reader.GetU32(&sketch.hot_ids_[i])) return std::nullopt;
-  }
-  sketch.hot_size_ = hot_size;
-  sketch.processed_ = processed;
-  if (config.use_mg_classifier) {
-    auto mg = MisraGries::DeserializeFrom(reader);
-    if (!mg.has_value() || mg->capacity() != config.mg_capacity) {
-      return std::nullopt;
-    }
-    sketch.mg_ = *std::move(mg);
-  }
-  std::vector<count_t> cells;
-  if (!reader.GetPodVector(&cells) ||
-      cells.size() !=
-          static_cast<size_t>(config.width) * config.depth) {
-    return std::nullopt;
-  }
-  sketch.cells_ = std::move(cells);
-  return sketch;
-}
-
 void Fcm::Reset() {
   std::fill(cells_.begin(), cells_.end(), 0);
   mg_.Reset();

@@ -26,7 +26,6 @@
 
 #include "src/common/check.h"
 #include "src/common/hashing.h"
-#include "src/common/serialize.h"
 #include "src/common/types.h"
 #include "src/sketch/misra_gries.h"
 
@@ -115,20 +114,6 @@ class Fcm {
                       config_.mg_capacity * sizeof(item_t)
                 : 0);
   }
-
-  /// True if `other` shares width, depth, seed, and classifier config.
-  bool CompatibleWith(const Fcm& other) const;
-
-  /// Adds `other`'s cells, merges the MG classifiers, and unions the
-  /// sticky hot sets (a key hot on either side stays one-sided through
-  /// the hot row prefix, which both sides always write).
-  std::optional<std::string> MergeFrom(const Fcm& other);
-
-  bool SerializeTo(BinaryWriter& writer) const;
-  static std::optional<Fcm> DeserializeFrom(BinaryReader& reader);
-
-  /// Snapshot-envelope payload tag (registry: src/common/snapshot.h).
-  static constexpr uint32_t kSnapshotPayloadType = 3;
 
   std::string Name() const { return "FCM"; }
 

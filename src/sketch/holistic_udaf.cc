@@ -70,57 +70,6 @@ void HolisticUdaf::Flush() {
   ++flush_count_;
 }
 
-namespace {
-constexpr uint32_t kHolisticUdafMagic = 0x31445548;  // "HUD1"
-}  // namespace
-
-bool HolisticUdaf::SerializeTo(BinaryWriter& writer) const {
-  writer.PutU32(kHolisticUdafMagic);
-  writer.PutU32(config_.table_capacity);
-  writer.PutU64(flush_count_);
-  writer.PutU32(size_);
-  for (uint32_t i = 0; i < size_; ++i) {
-    writer.PutU32(ids_[i]);
-    writer.PutU32(counts_[i]);
-  }
-  return sketch_.SerializeTo(writer) && writer.ok();
-}
-
-std::optional<HolisticUdaf> HolisticUdaf::DeserializeFrom(
-    BinaryReader& reader) {
-  uint32_t magic = 0, table_capacity = 0, size = 0;
-  uint64_t flush_count = 0;
-  if (!reader.GetU32(&magic) || magic != kHolisticUdafMagic) {
-    return std::nullopt;
-  }
-  if (!reader.GetU32(&table_capacity) || table_capacity < 1 ||
-      table_capacity > kMaxSerializedCapacity ||
-      !reader.GetU64(&flush_count) || !reader.GetU32(&size) ||
-      size > table_capacity) {
-    return std::nullopt;
-  }
-  std::vector<uint32_t> ids(size), counts(size);
-  for (uint32_t i = 0; i < size; ++i) {
-    if (!reader.GetU32(&ids[i]) || !reader.GetU32(&counts[i])) {
-      return std::nullopt;
-    }
-  }
-  auto sketch = CountMin::DeserializeFrom(reader);
-  if (!sketch.has_value()) return std::nullopt;
-  HolisticUdafConfig config;
-  config.table_capacity = table_capacity;
-  config.sketch = sketch->config();
-  HolisticUdaf udaf(config);
-  udaf.sketch_ = *std::move(sketch);
-  udaf.flush_count_ = flush_count;
-  udaf.size_ = size;
-  for (uint32_t i = 0; i < size; ++i) {
-    udaf.ids_[i] = ids[i];
-    udaf.counts_[i] = counts[i];
-  }
-  return udaf;
-}
-
 void HolisticUdaf::Reset() {
   sketch_.Reset();
   size_ = 0;

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/serialize.h"
 #include "src/common/simd_scan.h"
 #include "src/common/types.h"
 #include "src/sketch/count_min.h"
@@ -75,12 +74,6 @@ class HolisticUdaf {
     return config_.table_capacity * TableBytesPerItem() +
            sketch_.MemoryUsageBytes();
   }
-
-  bool SerializeTo(BinaryWriter& writer) const;
-  static std::optional<HolisticUdaf> DeserializeFrom(BinaryReader& reader);
-
-  /// Snapshot-envelope payload tag (registry: src/common/snapshot.h).
-  static constexpr uint32_t kSnapshotPayloadType = 6;
 
   std::string Name() const { return "HolisticUDAF"; }
 

@@ -1,8 +1,6 @@
 #include "src/sketch/misra_gries.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 
 #include "src/common/bit_util.h"
 
@@ -57,83 +55,6 @@ void MisraGries::Update(item_t key, count_t weight) {
     }
     if (size_ == 0) return;  // the whole residual was absorbed by decrements
   }
-}
-
-void MisraGries::MergeFrom(const MisraGries& other) {
-  // Gather the union with summed counts.
-  std::vector<std::pair<item_t, count_t>> merged;
-  merged.reserve(size_ + other.size_);
-  for (uint32_t i = 0; i < size_; ++i) {
-    merged.emplace_back(ids_[i], counts_[i]);
-  }
-  other.ForEach([this, &merged](item_t key, count_t count) {
-    const int32_t slot = FindKey(ids_.data(), ids_.size(), size_, key);
-    if (slot >= 0) {
-      merged[slot].second = SaturatingAdd(merged[slot].second, count);
-    } else {
-      merged.emplace_back(key, count);
-    }
-  });
-  if (merged.size() > capacity_) {
-    // Subtract the (capacity+1)-th largest count from everyone and drop
-    // the non-positive remainder — the mergeable-summaries step that
-    // preserves the MG error bound.
-    std::nth_element(
-        merged.begin(), merged.begin() + capacity_, merged.end(),
-        [](const auto& a, const auto& b) { return a.second > b.second; });
-    const count_t pivot = merged[capacity_].second;
-    std::vector<std::pair<item_t, count_t>> kept;
-    kept.reserve(capacity_);
-    for (const auto& [key, count] : merged) {
-      if (count > pivot) kept.emplace_back(key, count - pivot);
-    }
-    merged = std::move(kept);
-  }
-  ASKETCH_CHECK(merged.size() <= capacity_);
-  size_ = static_cast<uint32_t>(merged.size());
-  for (uint32_t i = 0; i < size_; ++i) {
-    ids_[i] = merged[i].first;
-    counts_[i] = merged[i].second;
-  }
-}
-
-namespace {
-constexpr uint32_t kMisraGriesMagic = 0x3147534d;  // "MSG1"
-}  // namespace
-
-bool MisraGries::SerializeTo(BinaryWriter& writer) const {
-  writer.PutU32(kMisraGriesMagic);
-  writer.PutU32(capacity_);
-  writer.PutU32(size_);
-  for (uint32_t i = 0; i < size_; ++i) {
-    writer.PutU32(ids_[i]);
-    writer.PutU32(counts_[i]);
-  }
-  return writer.ok();
-}
-
-std::optional<MisraGries> MisraGries::DeserializeFrom(
-    BinaryReader& reader) {
-  uint32_t magic = 0, capacity = 0, size = 0;
-  if (!reader.GetU32(&magic) || magic != kMisraGriesMagic) {
-    return std::nullopt;
-  }
-  if (!reader.GetU32(&capacity) || capacity < 1 ||
-      capacity > kMaxSerializedCapacity ||
-      !reader.GetU32(&size) || size > capacity) {
-    return std::nullopt;
-  }
-  MisraGries mg(capacity);
-  for (uint32_t i = 0; i < size; ++i) {
-    uint32_t key = 0, count = 0;
-    if (!reader.GetU32(&key) || !reader.GetU32(&count)) {
-      return std::nullopt;
-    }
-    mg.ids_[i] = key;
-    mg.counts_[i] = count;
-  }
-  mg.size_ = size;
-  return mg;
 }
 
 }  // namespace asketch

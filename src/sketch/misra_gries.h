@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/serialize.h"
 #include "src/common/simd_scan.h"
 #include "src/common/types.h"
 
@@ -55,25 +54,6 @@ class MisraGries {
   size_t MemoryUsageBytes() const { return capacity_ * BytesPerItem(); }
 
   void Reset() { size_ = 0; }
-
-  /// Merges `other` into this summary using the mergeable-summaries
-  /// construction (Agarwal et al.): counts of shared keys add; if the
-  /// union exceeds capacity, the (capacity+1)-th largest count is
-  /// subtracted from every entry and non-positive entries are dropped.
-  /// The merged summary keeps the MG error bound over the union stream.
-  void MergeFrom(const MisraGries& other);
-
-  bool SerializeTo(BinaryWriter& writer) const;
-  static std::optional<MisraGries> DeserializeFrom(BinaryReader& reader);
-
-  /// Snapshot-envelope payload tag (registry: src/common/snapshot.h).
-  static constexpr uint32_t kSnapshotPayloadType = 4;
-
-  /// Visits all monitored (key, count) pairs.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (uint32_t i = 0; i < size_; ++i) fn(ids_[i], counts_[i]);
-  }
 
  private:
   uint32_t capacity_;

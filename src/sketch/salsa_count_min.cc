@@ -7,10 +7,10 @@
 // Store discipline (see the header's concurrency note): in-level counter
 // stores go through RelaxedStore — monotone cells under insertions, same
 // argument as CountMin. Anything that changes the *layout* (merge bits,
-// the widened counter's initial value, Reset/AdoptFrom/MergeFrom
-// rebuilds) uses ReleaseStores inside a SeqWriteSection on the merge
-// epoch, so a concurrent EstimateRelaxed either validates a stable
-// layout or retries.
+// the widened counter's initial value, Reset/AdoptFrom rewrites) uses
+// ReleaseStores inside a SeqWriteSection on the merge epoch, so a
+// concurrent EstimateRelaxed either validates a stable layout or
+// retries.
 
 namespace asketch {
 
@@ -277,61 +277,6 @@ void SalsaCountMin::AdoptFrom(SalsaCountMin&& other) {
   for (size_t i = 0; i < words_.size(); ++i) {
     ReleaseStore(words_[i], other.words_[i]);
   }
-}
-
-void SalsaCountMin::EnsureAtLeastLocked(size_t cell, count_t target) {
-  for (;;) {
-    const Level level = LevelAt(cell);
-    const count_t cur = ReadAtLevel(cell, level);
-    if (target <= cur) return;
-    if (target <= CapOf(level)) {
-      // Release (not relaxed): runs inside rebuild sections whose
-      // intermediate states must stay invisible to validated readers.
-      switch (level) {
-        case Level::k8:
-          ReleaseStore(bytes()[cell], static_cast<uint8_t>(target));
-          return;
-        case Level::k16:
-          ReleaseStore(
-              *reinterpret_cast<uint16_t*>(bytes() + (cell & ~size_t{1})),
-              static_cast<uint16_t>(target));
-          return;
-        case Level::k32:
-          ReleaseStore(words_[cell >> 2], target);
-          return;
-      }
-    }
-    MergeUpLocked(cell, level);
-  }
-}
-
-std::optional<std::string> SalsaCountMin::MergeFrom(
-    const SalsaCountMin& other) {
-  if (!CompatibleWith(other)) {
-    return "SalsaCountMin::MergeFrom: incompatible configs "
-           "(width/depth/seed must match)";
-  }
-  // Per-bucket targets at the *old* layouts: the union stream's count of
-  // any key hashed into bucket i is at most Read_this(i) + Read_other(i).
-  const size_t cells = static_cast<size_t>(config_.width) * config_.depth;
-  std::vector<count_t> targets(cells);
-  for (size_t cell = 0; cell < cells; ++cell) {
-    const uint64_t sum = static_cast<uint64_t>(ReadBucket(cell)) +
-                         other.ReadBucket(cell);
-    targets[cell] = sum > ~count_t{0} ? ~count_t{0}
-                                      : static_cast<count_t>(sum);
-  }
-  // Rebuild from scratch inside one epoch section: start at the 8-bit
-  // layout and let the targets drive the merges, so the merged sketch is
-  // no coarser than the targets demand.
-  SeqWriteSection section(epoch_);
-  for (uint64_t& word : quad_bits_) ReleaseStore(word, uint64_t{0});
-  for (uint64_t& word : pair_bits_) ReleaseStore(word, uint64_t{0});
-  for (uint32_t& word : words_) ReleaseStore(word, 0u);
-  for (size_t cell = 0; cell < cells; ++cell) {
-    EnsureAtLeastLocked(cell, targets[cell]);
-  }
-  return std::nullopt;
 }
 
 bool SalsaCountMin::SerializeTo(BinaryWriter& writer) const {

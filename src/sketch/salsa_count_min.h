@@ -185,8 +185,8 @@ class SalsaCountMin {
   /// "effective width" the accuracy sweep reports.
   uint64_t LogicalCounters() const;
 
-  /// True if `other` was built with the same width, depth, and seed —
-  /// the precondition for MergeFrom (the two share hash functions).
+  /// True if `other` was built with the same width, depth, and seed
+  /// (the two share hash functions and array shapes).
   bool CompatibleWith(const SalsaCountMin& other) const;
 
   /// Whether AdoptFrom(other) can replace this sketch's state without
@@ -202,15 +202,6 @@ class SalsaCountMin {
   /// layout. Requires CanAdoptFrom(other); the caller must exclude
   /// concurrent updaters (e.g. hold the shard mutex).
   void AdoptFrom(SalsaCountMin&& other);
-
-  /// Folds `other` into this sketch: every bucket is raised to at least
-  /// the sum of the two sketches' readings at that index (merging
-  /// further as the sums demand), so the result keeps the one-sided
-  /// guarantee over the union of both streams. Unlike CountMin the
-  /// result is not the cell-wise sum — a merged counter covers its
-  /// neighbors with the max of their targets. Returns an error message
-  /// on an incompatible configuration.
-  std::optional<std::string> MergeFrom(const SalsaCountMin& other);
 
   /// Writes config + counters + merge bitmaps; hash functions are
   /// reconstructed from the seed on load.
@@ -293,10 +284,6 @@ class SalsaCountMin {
   /// Widens the counter holding `cell` one level, inside an open
   /// merge-epoch section (release stores; must not open its own).
   void MergeUpLocked(size_t cell, Level level);
-
-  /// Raises the counter holding `cell` to at least `target`, merging up
-  /// as needed. Inside an open merge-epoch section (MergeFrom/rebuild).
-  void EnsureAtLeastLocked(size_t cell, count_t target);
 
   SalsaConfig config_;
   HashFamily hashes_;

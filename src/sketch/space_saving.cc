@@ -1,7 +1,6 @@
 #include "src/sketch/space_saving.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace asketch {
 
@@ -33,99 +32,6 @@ count_t SpaceSaving::Estimate(item_t key) const {
   const uint32_t node = summary_.Find(key);
   if (node != kSummaryNil) return summary_.Count(node);
   return mode_ == SpaceSavingEstimateMode::kMin ? summary_.MinCount() : 0;
-}
-
-void SpaceSaving::MergeFrom(const SpaceSaving& other) {
-  const count_t self_min = summary_.Full() ? summary_.MinCount() : 0;
-  const count_t other_min =
-      other.summary_.Full() ? other.summary_.MinCount() : 0;
-  std::unordered_map<item_t, SpaceSavingEntry> merged;
-  merged.reserve(summary_.size() + other.summary_.size());
-  summary_.ForEach([&merged](item_t key, count_t count, count_t error) {
-    merged[key] = SpaceSavingEntry{key, count, error};
-  });
-  other.summary_.ForEach(
-      [&merged, self_min](item_t key, count_t count, count_t error) {
-        auto [it, inserted] =
-            merged.try_emplace(key, SpaceSavingEntry{key, 0, 0});
-        if (inserted) {
-          // Unmonitored on our side: its count here is at most self_min.
-          it->second.count = self_min;
-          it->second.error = self_min;
-        }
-        it->second.count = SaturatingAdd(it->second.count,
-                                         static_cast<delta_t>(count));
-        it->second.error = SaturatingAdd(it->second.error,
-                                         static_cast<delta_t>(error));
-      });
-  // Keys monitored only on our side absorb the other side's minimum.
-  std::vector<SpaceSavingEntry> entries;
-  entries.reserve(merged.size());
-  for (auto& [key, entry] : merged) {
-    if (other.summary_.Find(key) == kSummaryNil) {
-      entry.count = SaturatingAdd(entry.count,
-                                  static_cast<delta_t>(other_min));
-      entry.error = SaturatingAdd(entry.error,
-                                  static_cast<delta_t>(other_min));
-    }
-    entries.push_back(entry);
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const SpaceSavingEntry& a, const SpaceSavingEntry& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return a.key < b.key;
-            });
-  if (entries.size() > summary_.capacity()) {
-    entries.resize(summary_.capacity());
-  }
-  summary_.Reset();
-  for (const SpaceSavingEntry& entry : entries) {
-    summary_.Insert(entry.key, entry.count, entry.error);
-  }
-}
-
-namespace {
-constexpr uint32_t kSpaceSavingMagic = 0x31565353;  // "SSV1"
-}  // namespace
-
-bool SpaceSaving::SerializeTo(BinaryWriter& writer) const {
-  writer.PutU32(kSpaceSavingMagic);
-  writer.PutU32(summary_.capacity());
-  writer.PutU8(mode_ == SpaceSavingEstimateMode::kMin ? 0 : 1);
-  writer.PutU32(summary_.size());
-  summary_.ForEach([&writer](item_t key, count_t count, count_t error) {
-    writer.PutU32(key);
-    writer.PutU32(count);
-    writer.PutU32(error);
-  });
-  return writer.ok();
-}
-
-std::optional<SpaceSaving> SpaceSaving::DeserializeFrom(
-    BinaryReader& reader) {
-  uint32_t magic = 0, capacity = 0, size = 0;
-  uint8_t mode = 0;
-  if (!reader.GetU32(&magic) || magic != kSpaceSavingMagic) {
-    return std::nullopt;
-  }
-  if (!reader.GetU32(&capacity) || capacity < 1 ||
-      capacity > kMaxSerializedCapacity ||
-      !reader.GetU8(&mode) || mode > 1 || !reader.GetU32(&size) ||
-      size > capacity) {
-    return std::nullopt;
-  }
-  SpaceSaving ss(capacity, mode == 0 ? SpaceSavingEstimateMode::kMin
-                                     : SpaceSavingEstimateMode::kZero);
-  for (uint32_t i = 0; i < size; ++i) {
-    uint32_t key = 0, count = 0, error = 0;
-    if (!reader.GetU32(&key) || !reader.GetU32(&count) ||
-        !reader.GetU32(&error)) {
-      return std::nullopt;
-    }
-    if (ss.summary_.Find(key) != kSummaryNil) return std::nullopt;
-    ss.summary_.Insert(key, count, error);
-  }
-  return ss;
 }
 
 std::vector<SpaceSavingEntry> SpaceSaving::TopK() const {

@@ -19,10 +19,7 @@
 #include <string>
 #include <vector>
 
-#include <optional>
-
 #include "src/common/check.h"
-#include "src/common/serialize.h"
 #include "src/common/stream_summary.h"
 #include "src/common/types.h"
 
@@ -76,20 +73,6 @@ class SpaceSaving {
   size_t MemoryUsageBytes() const { return summary_.MemoryUsageBytes(); }
 
   void Reset() { summary_.Reset(); }
-
-  /// Merges `other` using the mergeable-summaries construction: counts
-  /// and errors add for shared keys; a key monitored on one side only
-  /// inherits the other side's minimum count as extra count and error
-  /// (its true count there is at most that minimum). The top `capacity`
-  /// entries by count survive. Upper/lower-bound guarantees hold over
-  /// the union stream.
-  void MergeFrom(const SpaceSaving& other);
-
-  bool SerializeTo(BinaryWriter& writer) const;
-  static std::optional<SpaceSaving> DeserializeFrom(BinaryReader& reader);
-
-  /// Snapshot-envelope payload tag (registry: src/common/snapshot.h).
-  static constexpr uint32_t kSnapshotPayloadType = 5;
 
   std::string Name() const {
     return mode_ == SpaceSavingEstimateMode::kMin ? "SpaceSaving(min)"

@@ -1,5 +1,6 @@
-// Corruption robustness fuzz: for every serializable summary type, all
-// prefix truncations and a seeded schedule of single-bit flips must be
+// Corruption robustness fuzz: for every persisted summary type (the
+// asketchd and asketch_cli formats and their parts), all prefix
+// truncations and a seeded schedule of single-bit flips must be
 // rejected at the snapshot layer, and the raw defensive readers must
 // never crash (run under ASan/UBSan in CI) — a corrupt blob yields
 // std::nullopt or a well-formed (if wrong) object, never UB.
@@ -13,14 +14,8 @@
 #include "src/common/snapshot.h"
 #include "src/core/asketch.h"
 #include "src/filter/heap_filter.h"
-#include "src/filter/stream_summary_filter.h"
-#include "src/filter/vector_filter.h"
 #include "src/sketch/count_min.h"
-#include "src/sketch/count_sketch.h"
-#include "src/sketch/fcm.h"
-#include "src/sketch/holistic_udaf.h"
-#include "src/sketch/misra_gries.h"
-#include "src/sketch/space_saving.h"
+#include "src/sketch/salsa_count_min.h"
 
 namespace asketch {
 namespace {
@@ -79,41 +74,20 @@ TEST(CorruptionFuzzTest, CountMin) {
   ExpectCorruptionRobust(sketch, 101);
 }
 
-TEST(CorruptionFuzzTest, CountSketch) {
-  CountSketch sketch(CountSketchConfig::FromSpaceBudget(8192, 4, 11));
-  for (item_t key = 0; key < 2000; ++key) sketch.Update(key, key % 5 + 1);
-  ExpectCorruptionRobust(sketch, 102);
-}
-
-TEST(CorruptionFuzzTest, Fcm) {
-  Fcm sketch(FcmConfig::FromSpaceBudget(8192, 4, 11));
-  for (item_t key = 0; key < 2000; ++key) sketch.Update(key, key % 5 + 1);
-  ExpectCorruptionRobust(sketch, 103);
-}
-
-TEST(CorruptionFuzzTest, MisraGries) {
-  MisraGries summary(64);
-  for (item_t key = 0; key < 2000; ++key) summary.Update(key % 97, 1);
-  ExpectCorruptionRobust(summary, 104);
-}
-
-TEST(CorruptionFuzzTest, SpaceSaving) {
-  SpaceSaving summary(64);
-  for (item_t key = 0; key < 2000; ++key) summary.Update(key % 97, 1);
-  ExpectCorruptionRobust(summary, 105);
-}
-
-TEST(CorruptionFuzzTest, HolisticUdaf) {
-  HolisticUdafConfig config;
-  HolisticUdaf udaf(config);
-  for (item_t key = 0; key < 2000; ++key) udaf.Update(key % 300, 1);
-  ExpectCorruptionRobust(udaf, 106);
-}
-
-TEST(CorruptionFuzzTest, VectorFilter) {
-  VectorFilter filter(32);
-  for (item_t key = 0; key < 32; ++key) filter.Insert(key, key + 1, key);
-  ExpectCorruptionRobust(filter, 108);
+TEST(CorruptionFuzzTest, SalsaCountMin) {
+  // A small sketch under a skewed stream, so that the blob carries merged
+  // 16- and 32-bit counters and nonzero merge bitmaps.
+  SalsaCountMin sketch(SalsaConfig::FromSpaceBudget(2048, 4, 11));
+  for (item_t i = 0; i < 20000; ++i) {
+    if (i % 7 == 0) {
+      sketch.Update(i % 5, 5000);  // five keys past the 16-bit cap
+    } else {
+      sketch.Update(i % 700, 1);
+    }
+  }
+  ASSERT_GT(sketch.MergedPairs(), 0u);
+  ASSERT_GT(sketch.MergedQuads(), 0u);
+  ExpectCorruptionRobust(sketch, 113);
 }
 
 TEST(CorruptionFuzzTest, StrictHeapFilter) {
@@ -128,12 +102,6 @@ TEST(CorruptionFuzzTest, RelaxedHeapFilter) {
   ExpectCorruptionRobust(filter, 110);
 }
 
-TEST(CorruptionFuzzTest, StreamSummaryFilter) {
-  StreamSummaryFilter filter(16);
-  for (item_t key = 0; key < 16; ++key) filter.Insert(key, key + 1, key);
-  ExpectCorruptionRobust(filter, 111);
-}
-
 TEST(CorruptionFuzzTest, ASketch) {
   ASketchConfig config;
   config.total_bytes = 16 * 1024;
@@ -142,6 +110,18 @@ TEST(CorruptionFuzzTest, ASketch) {
   auto sketch = MakeASketchCountMin<RelaxedHeapFilter>(config);
   for (item_t key = 0; key < 5000; ++key) sketch.Update(key % 400, 1);
   ExpectCorruptionRobust(sketch, 112);
+}
+
+TEST(CorruptionFuzzTest, ASketchSalsa) {
+  ASketchConfig config;
+  config.total_bytes = 4 * 1024;
+  config.width = 4;
+  config.filter_items = 32;
+  auto sketch = MakeASketchSalsa<RelaxedHeapFilter>(config);
+  // ~490 per key overflows the 8-bit counters the tail keys land in.
+  for (item_t i = 0; i < 20000; ++i) sketch.Update(i % 900, i % 5 + 20);
+  ASSERT_GT(sketch.sketch().MergedPairs(), 0u);
+  ExpectCorruptionRobust(sketch, 114);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 // Merge semantics: distributed agents each summarize a partition and the
 // summaries are merged; the result must answer queries over the union
-// stream with each structure's usual guarantees.
+// stream with the usual guarantees. CountMin and ASketch over CountMin
+// are the mergeable summaries (asketch_cli merge, bench_ext_distributed).
 
-#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/asketch.h"
-#include "src/sketch/space_saving.h"
 #include "src/workload/exact_counter.h"
 #include "src/workload/stream_generator.h"
 
@@ -62,131 +61,6 @@ TEST(CountMinMergeTest, RejectsIncompatibleConfigs) {
   EXPECT_TRUE(a.MergeFrom(b).has_value());
   CountMin c(CountMinConfig::FromSpaceBudget(8 * 1024, 4, 9));  // depth
   EXPECT_TRUE(a.MergeFrom(c).has_value());
-}
-
-TEST(SalsaCountMinMergeTest, MergedStaysOneSidedOverTheUnion) {
-  // Salsa merging is not cell-wise addition (a merged counter covers its
-  // neighbors with the max of their targets), so the merged sketch is
-  // not bit-identical to a single-stream sketch. The contract is
-  // one-sidedness over the union, with each bucket at least the sum of
-  // the two inputs' readings.
-  const SplitStream split = MakeSplit(1.2);
-  const SalsaConfig config = SalsaConfig::FromSpaceBudget(16 * 1024, 4, 9);
-  SalsaCountMin a(config), b(config);
-  for (const Tuple& t : split.first) a.Update(t.key, t.value);
-  for (const Tuple& t : split.second) b.Update(t.key, t.value);
-  // Snapshot the inputs' estimates before the merge mutates `a`.
-  std::vector<count_t> a_est(5000), b_est(5000);
-  for (item_t key = 0; key < 5000; ++key) {
-    a_est[key] = a.Estimate(key);
-    b_est[key] = b.Estimate(key);
-  }
-  ASSERT_FALSE(a.MergeFrom(b).has_value());
-  for (item_t key = 0; key < 5000; ++key) {
-    ASSERT_GE(a.Estimate(key), split.truth.Count(key)) << "key " << key;
-    // Every bucket was raised to at least the sum of both inputs'
-    // readings, so per key the merged estimate dominates each input's
-    // estimate (different rows may attain the two minima, so only the
-    // max — not the sum — is a sound lower bound here).
-    ASSERT_GE(a.Estimate(key), std::max(a_est[key], b_est[key]))
-        << "key " << key;
-  }
-}
-
-TEST(SalsaCountMinMergeTest, RejectsIncompatibleConfigs) {
-  SalsaCountMin a(SalsaConfig::FromSpaceBudget(16 * 1024, 4, 9));
-  SalsaCountMin b(SalsaConfig::FromSpaceBudget(16 * 1024, 4, 10));  // seed
-  EXPECT_TRUE(a.MergeFrom(b).has_value());
-  SalsaCountMin c(SalsaConfig::FromSpaceBudget(8 * 1024, 4, 9));  // depth
-  EXPECT_TRUE(a.MergeFrom(c).has_value());
-}
-
-TEST(SalsaCountMinMergeTest, MergePreservesHeavilyMergedLayouts) {
-  // Both inputs overflow into merged counters first; the fold must stay
-  // one-sided even when it has to re-derive a coarser layout.
-  SalsaConfig config;
-  config.width = 4;
-  config.depth = 64;
-  config.seed = 9;
-  const SplitStream split = MakeSplit(1.4, 200000, 1000);
-  SalsaCountMin a(config), b(config);
-  for (const Tuple& t : split.first) a.Update(t.key, t.value);
-  for (const Tuple& t : split.second) b.Update(t.key, t.value);
-  ASSERT_GT(a.MergedPairs() + b.MergedPairs(), 0u);
-  ASSERT_FALSE(a.MergeFrom(b).has_value());
-  for (item_t key = 0; key < 1000; ++key) {
-    ASSERT_GE(a.Estimate(key), split.truth.Count(key)) << "key " << key;
-  }
-}
-
-TEST(CountSketchMergeTest, MergedEqualsSingleStreamSketch) {
-  const SplitStream split = MakeSplit(1.0);
-  const CountSketchConfig config =
-      CountSketchConfig::FromSpaceBudget(16 * 1024, 5, 9);
-  CountSketch a(config), b(config), whole(config);
-  for (const Tuple& t : split.first) {
-    a.Update(t.key, t.value);
-    whole.Update(t.key, t.value);
-  }
-  for (const Tuple& t : split.second) {
-    b.Update(t.key, t.value);
-    whole.Update(t.key, t.value);
-  }
-  ASSERT_FALSE(a.MergeFrom(b).has_value());
-  for (item_t key = 0; key < 5000; key += 3) {
-    ASSERT_EQ(a.Estimate(key), whole.Estimate(key)) << "key " << key;
-  }
-}
-
-TEST(MisraGriesMergeTest, MergedSummaryKeepsHeavyHitters) {
-  const uint32_t k = 15;
-  const SplitStream split = MakeSplit(1.5, 60000, 2000);
-  MisraGries a(k), b(k);
-  for (const Tuple& t : split.first) a.Update(t.key, t.value);
-  for (const Tuple& t : split.second) b.Update(t.key, t.value);
-  a.MergeFrom(b);
-  EXPECT_LE(a.size(), k);
-  // MG merge guarantee: every key with total frequency > N/(k+1) is
-  // monitored in the merged summary.
-  const wide_count_t n = split.truth.Total();
-  for (item_t key = 0; key < 2000; ++key) {
-    if (split.truth.Count(key) > n / (k + 1)) {
-      EXPECT_TRUE(a.Contains(key)) << "heavy key " << key;
-    }
-  }
-  // Counts stay lower bounds.
-  a.ForEach([&split](item_t key, count_t count) {
-    EXPECT_LE(count, split.truth.Count(key));
-  });
-}
-
-TEST(SpaceSavingMergeTest, BoundsHoldOverTheUnion) {
-  const SplitStream split = MakeSplit(1.4, 80000, 2000);
-  SpaceSaving a(24), b(24);
-  for (const Tuple& t : split.first) a.Update(t.key, t.value);
-  for (const Tuple& t : split.second) b.Update(t.key, t.value);
-  a.MergeFrom(b);
-  EXPECT_LE(a.size(), 24u);
-  for (const SpaceSavingEntry& e : a.TopK()) {
-    EXPECT_GE(e.count, split.truth.Count(e.key)) << "key " << e.key;
-    EXPECT_LE(e.count - e.error, split.truth.Count(e.key))
-        << "key " << e.key;
-  }
-}
-
-TEST(SpaceSavingMergeTest, HeavyHittersSurviveTheMerge) {
-  const uint32_t k = 20;
-  const SplitStream split = MakeSplit(1.6, 80000, 2000);
-  SpaceSaving a(k), b(k);
-  for (const Tuple& t : split.first) a.Update(t.key, t.value);
-  for (const Tuple& t : split.second) b.Update(t.key, t.value);
-  a.MergeFrom(b);
-  const wide_count_t n = split.truth.Total();
-  for (item_t key = 0; key < 2000; ++key) {
-    if (split.truth.Count(key) > 2 * n / k) {
-      EXPECT_TRUE(a.Contains(key)) << "heavy key " << key;
-    }
-  }
 }
 
 using AllFilters = ::testing::Types<VectorFilter, StrictHeapFilter,
@@ -284,26 +158,6 @@ TEST(ASketchMergeTest2, MergeIntoEmptyAndFromEmpty) {
   ASSERT_FALSE(empty.MergeFrom(a).has_value());
   for (item_t key = 0; key < 1000; key += 11) {
     EXPECT_GE(empty.Estimate(key), a.Estimate(key) > 0 ? 1u : 0u);
-  }
-}
-
-TEST(FcmMergeTest, MergedFcmStaysOneSidedForColdKeys) {
-  const SplitStream split = MakeSplit(1.3);
-  const FcmConfig config = FcmConfig::FromSpaceBudget(16 * 1024, 8, 16, 9);
-  Fcm a(config), b(config);
-  std::vector<bool> ever_hot(5000, false);
-  for (const Tuple& t : split.first) {
-    a.Update(t.key, t.value);
-    if (a.IsHot(t.key)) ever_hot[t.key] = true;
-  }
-  for (const Tuple& t : split.second) {
-    b.Update(t.key, t.value);
-    if (b.IsHot(t.key)) ever_hot[t.key] = true;
-  }
-  ASSERT_FALSE(a.MergeFrom(b).has_value());
-  for (item_t key = 0; key < 5000; ++key) {
-    if (ever_hot[key] || a.IsHot(key)) continue;
-    ASSERT_GE(a.Estimate(key), split.truth.Count(key)) << "key " << key;
   }
 }
 

@@ -74,9 +74,9 @@ TEST(MisraGriesTest, CountNeverExceedsTruth) {
     truth.Update(key);
   }
   // MG counters are lower bounds on true frequency.
-  mg.ForEach([&truth](item_t key, count_t count) {
-    EXPECT_LE(count, truth.Count(key));
-  });
+  for (item_t key = 0; key < 200; ++key) {
+    EXPECT_LE(mg.CountOf(key), truth.Count(key));
+  }
 }
 
 TEST(MisraGriesTest, CountErrorBoundedByNOverK) {
@@ -91,9 +91,10 @@ TEST(MisraGriesTest, CountErrorBoundedByNOverK) {
     truth.Update(key);
   }
   // truth - count <= N/(k+1) for monitored keys.
-  mg.ForEach([&](item_t key, count_t count) {
-    EXPECT_LE(truth.Count(key) - count, n / (k + 1));
-  });
+  for (item_t key = 0; key < 50; ++key) {
+    if (!mg.Contains(key)) continue;
+    EXPECT_LE(truth.Count(key) - mg.CountOf(key), n / (k + 1));
+  }
 }
 
 TEST(MisraGriesTest, WeightedUpdates) {

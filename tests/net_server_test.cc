@@ -3,8 +3,10 @@
 // rejection), single-client determinism against an in-process ShardSet
 // oracle under a stable head, one-sidedness and conservation under head
 // churn, concurrent-client conservation, garbage-resilience, waits on
-// a full shard queue, snapshot/recover bit-identity, read-your-writes on
-// a connection, and the reaping of finished connection threads.
+// a full shard queue, snapshot/recover bit-identity, all-or-nothing
+// restore of truncated payloads, the background checkpoint loop,
+// read-your-writes on a connection, and the reaping of finished
+// connection threads.
 
 #include "src/net/server.h"
 
@@ -12,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -505,6 +508,107 @@ TEST(NetServer, SalsaBackendSnapshotRecoverBitIdentical) {
     cross_options.shards.backend = SketchBackend::kCountMin;
     Server server(cross_options);
     EXPECT_NE(server.Start(), std::nullopt);
+  }
+  fs::remove_all(dir);
+}
+
+// RestoreLocked parses every shard before adopting any: a payload cut
+// short anywhere must be refused and leave the live state as it was.
+TEST(ShardSetTest, TruncatedRestoreLeavesStateUnchanged) {
+  for (const SketchBackend backend :
+       {SketchBackend::kCountMin, SketchBackend::kSalsa}) {
+    SCOPED_TRACE(backend == SketchBackend::kSalsa ? "salsa" : "countmin");
+    ShardSetOptions options;
+    options.num_shards = 2;
+    options.backend = backend;
+    options.shard_config.total_bytes = 2048;
+    options.shard_config.width = 2;
+    options.shard_config.filter_items = 8;
+    ShardSet source(options);
+    source.Ingest(TestStream(4'000, /*seed=*/11));
+    const std::vector<uint8_t> payload = source.SerializeState();
+    ASSERT_FALSE(payload.empty());
+
+    ShardSet target(options);
+    target.Ingest(TestStream(4'000, /*seed=*/12));
+    StateDigest before;
+    target.SerializeState(&before);
+    for (size_t size = 0; size < payload.size(); ++size) {
+      ASSERT_TRUE(
+          target.RestoreState(std::span(payload.data(), size)).has_value())
+          << "payload truncated to " << size << " of " << payload.size();
+      StateDigest after;
+      target.SerializeState(&after);
+      ASSERT_EQ(after.digest, before.digest)
+          << "payload truncated to " << size;
+      ASSERT_EQ(after.ingested, before.ingested);
+    }
+    // The whole payload restores.
+    ASSERT_EQ(target.RestoreState(payload), std::nullopt);
+    StateDigest restored;
+    target.SerializeState(&restored);
+    EXPECT_NE(restored.digest, before.digest);
+    EXPECT_EQ(restored.ingested, 4'000u);
+  }
+}
+
+// The --checkpoint-interval-ms loop cuts generations on its own, with no
+// SNAPSHOT request: a second store on the prefix sees one holding every
+// tuple sent, and a --recover'd server comes back with its digest.
+TEST(NetServer, CheckpointLoopCutsRecoverableGenerations) {
+  const fs::path dir =
+      fs::path(testing::TempDir()) / "asketchd_checkpoint_loop_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string prefix = (dir / "ckpt").string();
+
+  ServerOptions options = SmallServer();
+  options.snapshot_prefix = prefix;
+  options.checkpoint_interval_ms = 100;
+  constexpr uint64_t kTuples = 20'000;
+  StateDigest cut;
+  StateDigest live;
+  {
+    Server server(options);
+    ASSERT_EQ(server.Start(), std::nullopt);
+    Client client;
+    ASSERT_EQ(client.Connect({.port = server.port()}), std::nullopt);
+    ASSERT_EQ(client.Update(TestStream(kTuples)), std::nullopt);
+    ASSERT_EQ(client.Flush(), std::nullopt);
+
+    // Read the newest generation through a store and shard set of our
+    // own until the loop has cut one that holds every tuple.
+    const SnapshotStore probe_store(prefix, options.snapshot_retain);
+    ShardSet probe(options.shards);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (cut.ingested != kTuples &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      StateDigest seen;
+      if (probe.RecoverFromStore(probe_store, &seen) == std::nullopt) {
+        cut = seen;
+      }
+    }
+    ASSERT_EQ(cut.ingested, kTuples)
+        << "no checkpoint holding every tuple within 10 s";
+    EXPECT_GT(cut.generation, 0u);
+    ASSERT_EQ(client.Digest(&live), std::nullopt);
+    server.Stop();
+  }
+  // The loop's cut re-adopted its serialized form, so the live state and
+  // every later cut (Stop's final one included) serialize to the same
+  // bytes.
+  EXPECT_EQ(live.digest, cut.digest);
+  {
+    ServerOptions recover_options = options;
+    recover_options.recover = true;
+    recover_options.checkpoint_interval_ms = 0;
+    Server server(recover_options);
+    ASSERT_EQ(server.Start(), std::nullopt);
+    ASSERT_TRUE(server.recovered().has_value());
+    EXPECT_EQ(server.recovered()->digest, cut.digest);
+    EXPECT_EQ(server.recovered()->ingested, kTuples);
   }
   fs::remove_all(dir);
 }

@@ -1,5 +1,6 @@
-// Round-trip and corruption tests for the binary serialization of every
-// summary type.
+// Round-trip and corruption tests for the binary serialization of the
+// summaries that are persisted: CountMin, SalsaCountMin, the two heap
+// filters, and ASketch over them.
 
 #include "src/common/serialize.h"
 
@@ -11,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/asketch.h"
-#include "src/sketch/holistic_udaf.h"
-#include "src/sketch/space_saving.h"
 #include "src/workload/stream_generator.h"
 
 namespace asketch {
@@ -32,8 +31,6 @@ TEST(BinaryWriterReaderTest, PrimitivesRoundTrip) {
   writer.PutU8(7);
   writer.PutU32(0xdeadbeef);
   writer.PutU64(~uint64_t{0});
-  writer.PutI64(-42);
-  writer.PutDouble(3.25);
   writer.PutPodVector(std::vector<uint32_t>{1, 2, 3});
   ASSERT_TRUE(writer.ok());
 
@@ -41,20 +38,14 @@ TEST(BinaryWriterReaderTest, PrimitivesRoundTrip) {
   uint8_t u8;
   uint32_t u32;
   uint64_t u64;
-  int64_t i64;
-  double d;
   std::vector<uint32_t> vec;
   ASSERT_TRUE(reader.GetU8(&u8));
   ASSERT_TRUE(reader.GetU32(&u32));
   ASSERT_TRUE(reader.GetU64(&u64));
-  ASSERT_TRUE(reader.GetI64(&i64));
-  ASSERT_TRUE(reader.GetDouble(&d));
   ASSERT_TRUE(reader.GetPodVector(&vec));
   EXPECT_EQ(u8, 7);
   EXPECT_EQ(u32, 0xdeadbeef);
   EXPECT_EQ(u64, ~uint64_t{0});
-  EXPECT_EQ(i64, -42);
-  EXPECT_DOUBLE_EQ(d, 3.25);
   EXPECT_EQ(vec, (std::vector<uint32_t>{1, 2, 3}));
   // Reading past the end fails.
   EXPECT_FALSE(reader.GetU8(&u8));
@@ -172,69 +163,11 @@ TEST(SerializationTest, ASketchSalsaRoundTripFullState) {
   EXPECT_FALSE(cross.has_value());
 }
 
-TEST(SerializationTest, CountSketchRoundTrip) {
-  CountSketch sketch(CountSketchConfig::FromSpaceBudget(16 * 1024, 5, 9));
-  for (const Tuple& t : TestStream()) sketch.Update(t.key, t.value);
-  const CountSketch restored = RoundTrip(sketch);
-  for (item_t key = 0; key < 5000; key += 13) {
-    EXPECT_EQ(restored.Estimate(key), sketch.Estimate(key));
-  }
-}
-
-TEST(SerializationTest, FcmRoundTrip) {
-  Fcm sketch(FcmConfig::FromSpaceBudget(16 * 1024, 8, 16, 9));
-  for (const Tuple& t : TestStream()) sketch.Update(t.key, t.value);
-  Fcm restored = RoundTrip(sketch);
-  for (item_t key = 0; key < 5000; key += 13) {
-    EXPECT_EQ(restored.Estimate(key), sketch.Estimate(key));
-    EXPECT_EQ(restored.IsHot(key), sketch.IsHot(key));
-  }
-  // The restored classifier keeps functioning.
-  restored.Update(1, 5);
-}
-
-TEST(SerializationTest, MisraGriesRoundTrip) {
-  MisraGries mg(16);
-  for (const Tuple& t : TestStream(20000)) mg.Update(t.key, t.value);
-  const MisraGries restored = RoundTrip(mg);
-  EXPECT_EQ(restored.size(), mg.size());
-  mg.ForEach([&restored](item_t key, count_t count) {
-    EXPECT_EQ(restored.CountOf(key), count);
-  });
-}
-
-TEST(SerializationTest, SpaceSavingRoundTrip) {
-  SpaceSaving ss(32, SpaceSavingEstimateMode::kZero);
-  for (const Tuple& t : TestStream(20000)) ss.Update(t.key, t.value);
-  const SpaceSaving restored = RoundTrip(ss);
-  EXPECT_EQ(restored.Name(), "SpaceSaving(zero)");
-  const auto original_top = ss.TopK();
-  const auto restored_top = restored.TopK();
-  ASSERT_EQ(original_top.size(), restored_top.size());
-  for (size_t i = 0; i < original_top.size(); ++i) {
-    EXPECT_EQ(original_top[i].key, restored_top[i].key);
-    EXPECT_EQ(original_top[i].count, restored_top[i].count);
-    EXPECT_EQ(original_top[i].error, restored_top[i].error);
-  }
-}
-
-TEST(SerializationTest, HolisticUdafRoundTrip) {
-  HolisticUdaf udaf(
-      HolisticUdafConfig::FromSpaceBudget(16 * 1024, 4, 8, 9));
-  for (const Tuple& t : TestStream(20000)) udaf.Update(t.key, t.value);
-  const HolisticUdaf restored = RoundTrip(udaf);
-  EXPECT_EQ(restored.flush_count(), udaf.flush_count());
-  for (item_t key = 0; key < 5000; key += 7) {
-    EXPECT_EQ(restored.Estimate(key), udaf.Estimate(key));
-  }
-}
-
 template <typename T>
 class FilterSerializationTest : public ::testing::Test {};
 
-using FilterTypes = ::testing::Types<VectorFilter, StrictHeapFilter,
-                                     RelaxedHeapFilter, StreamSummaryFilter>;
-TYPED_TEST_SUITE(FilterSerializationTest, FilterTypes);
+using HeapFilterTypes = ::testing::Types<StrictHeapFilter, RelaxedHeapFilter>;
+TYPED_TEST_SUITE(FilterSerializationTest, HeapFilterTypes);
 
 TYPED_TEST(FilterSerializationTest, RoundTripPreservesEntriesAndMin) {
   TypeParam filter(16);
@@ -286,12 +219,9 @@ TEST(SerializationTest, ASketchRoundTripFullState) {
 template <typename T>
 class ASketchSerializationTest : public ::testing::Test {};
 
-using AllFilterTypes =
-    ::testing::Types<VectorFilter, StrictHeapFilter, RelaxedHeapFilter,
-                     StreamSummaryFilter>;
-TYPED_TEST_SUITE(ASketchSerializationTest, AllFilterTypes);
+TYPED_TEST_SUITE(ASketchSerializationTest, HeapFilterTypes);
 
-TYPED_TEST(ASketchSerializationTest, RoundTripsWithEveryFilterDesign) {
+TYPED_TEST(ASketchSerializationTest, RoundTripsWithEitherHeapFilter) {
   ASketchConfig config;
   config.total_bytes = 8 * 1024;
   config.width = 4;
@@ -307,13 +237,14 @@ TYPED_TEST(ASketchSerializationTest, RoundTripsWithEveryFilterDesign) {
   for (item_t key = 0; key < 5000; key += 7) {
     ASSERT_EQ(restored->Estimate(key), as.Estimate(key)) << "key " << key;
   }
-  // A filter blob from one design must not deserialize as another.
+  // A filter blob from one heap variant must not deserialize as the other.
+  using OtherFilter =
+      std::conditional_t<std::is_same_v<TypeParam, StrictHeapFilter>,
+                         RelaxedHeapFilter, StrictHeapFilter>;
   BinaryReader cross_reader(writer.buffer());
-  if constexpr (!std::is_same_v<TypeParam, VectorFilter>) {
-    using VectorASketch = ASketch<VectorFilter, CountMin>;
-    const auto cross = VectorASketch::DeserializeFrom(cross_reader);
-    EXPECT_FALSE(cross.has_value());
-  }
+  EXPECT_FALSE(
+      (ASketch<OtherFilter, CountMin>::DeserializeFrom(cross_reader))
+          .has_value());
 }
 
 TEST(SerializationTest, ASketchRoundTripThroughFile) {
@@ -321,7 +252,7 @@ TEST(SerializationTest, ASketchRoundTripThroughFile) {
   config.total_bytes = 8 * 1024;
   config.width = 4;
   config.filter_items = 8;
-  auto as = MakeASketchCountMin<VectorFilter>(config);
+  auto as = MakeASketchCountMin<RelaxedHeapFilter>(config);
   for (const Tuple& t : TestStream(10000)) as.Update(t.key, t.value);
 
   const std::string path = testing::TempDir() + "/asketch.bin";
@@ -337,7 +268,7 @@ TEST(SerializationTest, ASketchRoundTripThroughFile) {
     ASSERT_NE(f, nullptr);
     BinaryReader reader(f);
     auto restored =
-        ASketch<VectorFilter, CountMin>::DeserializeFrom(reader);
+        ASketch<RelaxedHeapFilter, CountMin>::DeserializeFrom(reader);
     std::fclose(f);
     ASSERT_TRUE(restored.has_value());
     EXPECT_EQ(restored->Estimate(1), as.Estimate(1));
@@ -363,10 +294,10 @@ TEST(SerializationTest, CorruptedInputsYieldNullopt) {
                         writer.buffer().size() / 2);
     EXPECT_FALSE(CountMin::DeserializeFrom(reader).has_value());
   }
-  // Cross-type confusion: a CountMin blob is not a CountSketch.
+  // Cross-type confusion: a CountMin blob is not a SalsaCountMin.
   {
     BinaryReader reader(writer.buffer());
-    EXPECT_FALSE(CountSketch::DeserializeFrom(reader).has_value());
+    EXPECT_FALSE(SalsaCountMin::DeserializeFrom(reader).has_value());
   }
 }
 

@@ -16,10 +16,7 @@
 #include "src/common/random.h"
 #include "src/core/asketch.h"
 #include "src/sketch/count_min.h"
-#include "src/sketch/count_sketch.h"
-#include "src/sketch/holistic_udaf.h"
-#include "src/sketch/misra_gries.h"
-#include "src/sketch/space_saving.h"
+#include "src/sketch/salsa_count_min.h"
 
 namespace asketch {
 namespace {
@@ -127,7 +124,8 @@ TEST(SnapshotEnvelopeTest, TypedRoundTripAndCrossTypeRejection) {
   // The same bytes presented as a different summary type must fail on
   // the envelope's type tag, before any deserialization runs.
   EXPECT_FALSE(
-      FromSnapshot<CountSketch>(snapshot.data(), snapshot.size()).has_value());
+      FromSnapshot<SalsaCountMin>(snapshot.data(), snapshot.size())
+          .has_value());
 }
 
 template <typename T>
@@ -149,13 +147,13 @@ struct PayloadTypes {
 };
 
 using RegisteredPayloadTypes =
-    PayloadTypes<CountMin, CountSketch, Fcm, MisraGries, SpaceSaving,
-                 HolisticUdaf, VectorFilter, StrictHeapFilter,
-                 RelaxedHeapFilter, StreamSummaryFilter, SalsaCountMin,
-                 ASketch<RelaxedHeapFilter, CountMin>>;
+    PayloadTypes<CountMin, StrictHeapFilter, RelaxedHeapFilter,
+                 SalsaCountMin, ASketch<RelaxedHeapFilter, CountMin>,
+                 ASketch<RelaxedHeapFilter, SalsaCountMin>>;
 
 // Tags of retired payload types (snapshot.h's registry); never reused.
-constexpr std::array<uint32_t, 2> kReservedPayloadTags = {7, 12};
+constexpr std::array<uint32_t, 9> kReservedPayloadTags = {2, 3, 4,  5, 6,
+                                                          7, 8, 11, 12};
 
 constexpr bool PayloadTagsDistinctAndUnreserved() {
   const auto& tags = RegisteredPayloadTypes::kTags;

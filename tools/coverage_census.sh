@@ -21,10 +21,22 @@
 # and tools/ that never executed in any instantiation or translation
 # unit, as `path:line  name`, followed by a per-file count.
 #
-# usage: tools/coverage_census.sh <scratch_dir>
+# With --lines it also prints, as `path:line`, every instrumented line
+# that never ran although the innermost function holding it did (a dead
+# branch inside a live function), with per-file counts. That report is
+# made twice: once after the kept drivers, and once more after the unit
+# tests (every ctest but bench_e2e_smoke, which builds its own tree)
+# have run on top of them.
+#
+# usage: tools/coverage_census.sh [--lines] <scratch_dir>
 set -u
 
-SCRATCH=${1:?usage: coverage_census.sh <scratch_dir>}
+LINES=0
+if [ "${1:-}" = "--lines" ]; then
+  LINES=1
+  shift
+fi
+SCRATCH=${1:?usage: coverage_census.sh [--lines] <scratch_dir>}
 REPO_ROOT=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$SCRATCH"
 SCRATCH=$(cd "$SCRATCH" && pwd)
@@ -102,14 +114,15 @@ echo "ran a clean-exit asketchd pass per backend" >&2
 
 # ------------------------------------------------------------ report
 # A function is listed only if its count is zero in every translation
-# unit and every template instantiation that carries its source line.
+# unit and every template instantiation that carries its source line; a
+# line likewise sums its counts over all of them.
 find "$BUILD" -name '*.gcno' -not -path '*/CMakeFiles/CMakeScratch/*' \
   >"$SCRATCH/gcno.txt"
-python3 - "$REPO_ROOT" "$SCRATCH/gcno.txt" <<'PY'
+cat >"$SCRATCH/census_report.py" <<'PY'
 import collections, json, os, subprocess, sys
 from concurrent.futures import ThreadPoolExecutor
 
-root, listing = sys.argv[1], sys.argv[2]
+root, listing, mode = sys.argv[1], sys.argv[2], sys.argv[3]
 kept = tuple(os.path.join(root, d) + os.sep for d in ("src", "tools"))
 gcnos = [line.strip() for line in open(listing) if line.strip()]
 
@@ -121,7 +134,9 @@ def read(gcno):
     return [json.loads(doc) for doc in out.stdout.splitlines() if doc.strip()]
 
 counts = collections.defaultdict(int)
+ends = {}
 names = {}
+line_counts = collections.defaultdict(int)
 with ThreadPoolExecutor(max_workers=4) as pool:
     for docs in pool.map(read, gcnos):
         for doc in docs:
@@ -134,18 +149,66 @@ with ThreadPoolExecutor(max_workers=4) as pool:
                 for fn in f.get("functions", []):
                     key = (rel, fn["start_line"])
                     counts[key] += fn["execution_count"]
+                    ends[key] = max(ends.get(key, 0), fn["end_line"])
                     names.setdefault(key, fn.get("demangled_name", fn["name"]))
+                for ln in f.get("lines", []):
+                    line_counts[(rel, ln["line_number"])] += ln["count"]
 
-never = sorted(k for k, c in counts.items() if c == 0)
-per_file = collections.Counter(rel for rel, _ in never)
-for rel, line in never:
-    name = names[(rel, line)]
-    if len(name) > 110:
-        name = name[:107] + "..."
-    print(f"{rel}:{line}  {name}")
+if mode == "functions":
+    never = sorted(k for k, c in counts.items() if c == 0)
+    per_file = collections.Counter(rel for rel, _ in never)
+    for rel, line in never:
+        name = names[(rel, line)]
+        if len(name) > 110:
+            name = name[:107] + "..."
+        print(f"{rel}:{line}  {name}")
+    print()
+    print(f"never executed: {len(never)} of {len(counts)} functions "
+          f"under src/ and tools/")
+    for rel, n in sorted(per_file.items()):
+        print(f"  {n:4d}  {rel}")
+    sys.exit(0)
+
+# Lines: each instrumented line belongs to the innermost function whose
+# source range holds it (a lambda inside a function is its own function).
+ranges = collections.defaultdict(list)
+for (rel, start), end in ends.items():
+    ranges[rel].append((start, end, counts[(rel, start)]))
+dead = []
+live_lines = 0
+for (rel, line), count in sorted(line_counts.items()):
+    holders = [r for r in ranges[rel] if r[0] <= line <= r[1]]
+    if not holders:
+        continue
+    _, _, fn_count = min(holders, key=lambda r: r[1] - r[0])
+    if fn_count == 0:
+        continue
+    live_lines += 1
+    if count == 0:
+        dead.append((rel, line))
+per_file = collections.Counter(rel for rel, _ in dead)
+for rel, line in dead:
+    print(f"{rel}:{line}")
 print()
-print(f"never executed: {len(never)} of {len(counts)} functions "
-      f"under src/ and tools/")
-for rel, n in sorted(per_file.items()):
+print(f"never ran: {len(dead)} of {live_lines} instrumented lines inside "
+      f"executed functions under src/ and tools/ ({mode})")
+for rel, n in sorted(per_file.items(), key=lambda kv: (-kv[1], kv[0])):
     print(f"  {n:4d}  {rel}")
 PY
+python3 "$SCRATCH/census_report.py" "$REPO_ROOT" "$SCRATCH/gcno.txt" \
+  functions
+[ "$LINES" = 1 ] || exit 0
+
+echo
+echo "=== lines never run inside executed functions: kept drivers ==="
+python3 "$SCRATCH/census_report.py" "$REPO_ROOT" "$SCRATCH/gcno.txt" \
+  drivers
+
+ctest --test-dir "$BUILD" -j 2 -E '^bench_e2e_smoke$' \
+  >"$LOGS/ctest.log" 2>&1 \
+  || echo "some unit tests failed under coverage: see $LOGS/ctest.log" >&2
+echo "ran the unit tests" >&2
+echo
+echo "=== lines never run inside executed functions: drivers + unit tests ==="
+python3 "$SCRATCH/census_report.py" "$REPO_ROOT" "$SCRATCH/gcno.txt" \
+  "drivers + unit tests"
